@@ -30,9 +30,7 @@ go test ./...
 echo "== go test -race (parallel harness gate) =="
 # harness/experiments: concurrent experiment cells must share no state.
 # sim/core: the bound-weave engine's grant/yield handoff and the Tvarak
-# controller under it are the hottest cross-goroutine surface; this now
-# includes the TestShard* suite, which drives the sharded weave (SPSC
-# rings, redundancy tickets, barrier merges) under the race detector.
+# controller under it are the hottest cross-goroutine surface.
 # fault: campaign units run on the worker pool and app workers are wrapped
 # with panic containment.
 # obs: tracers and samplers are fed from concurrent cells' engines.
@@ -112,24 +110,12 @@ if [ "${UPDATE_GOLDEN:-0}" = "1" ]; then
 fi
 "$tmp/tvarak-sim" -compare "testdata/ci-golden.json,$tmp/run1.json"
 
-echo "== shard-determinism gate =="
-# The weave phase sharded over 2 and 4 OS threads must leave the metrics
-# export byte-identical to the serial run (DESIGN.md "Parallel weave").
-# -parallel 1 keeps the run to one cell at a time so the shard workers,
-# not cross-cell parallelism, are what executes concurrently.
-sh=(-exp fig8-stream -scale 0.05 -designs baseline,tvarak -parallel 1)
-"$tmp/tvarak-sim" "${sh[@]}" -shards 1 -metrics-out "$tmp/shard1.json" >/dev/null
-"$tmp/tvarak-sim" "${sh[@]}" -shards 2 -metrics-out "$tmp/shard2.json" >/dev/null
-"$tmp/tvarak-sim" "${sh[@]}" -shards 4 -metrics-out "$tmp/shard4.json" >/dev/null
-cmp "$tmp/shard1.json" "$tmp/shard2.json"
-cmp "$tmp/shard1.json" "$tmp/shard4.json"
-
 echo "== live ops gate =="
 # A run with the ops server + resource sampler attached must serve
 # well-formed /metrics (Prometheus text exposition), /healthz and /runs
 # mid-run, shut down leak-free (opscheck's goroutine gate on the ledger's
 # first-vs-last sample), and leave the metrics export byte-identical to a
-# detached run — the read-only contract of DESIGN.md §10.
+# detached run — the read-only contract of DESIGN.md §9.
 go build -o "$tmp/opscheck" ./tools/opscheck
 og=(-exp fig8-stream -scale 0.05 -designs baseline,tvarak -parallel 2)
 "$tmp/tvarak-sim" "${og[@]}" -metrics-out "$tmp/ops-plain.json" >/dev/null
@@ -204,7 +190,7 @@ echo "== soak + chaos gate =="
 # gates every 8 units, one fsync'd ledger line per unit. soakcheck must
 # come back clean with at least one kill/resume cycle, and a same-seed
 # rerun must reproduce the ledger's canonical projection byte-for-byte
-# (DESIGN.md §11). Replay any flagged unit from its ledger line's seed and
+# (DESIGN.md §10). Replay any flagged unit from its ledger line's seed and
 # key — see EXPERIMENTS.md "Overnight soak".
 go build -o "$tmp/tvarak-soak" ./cmd/tvarak-soak
 go build -o "$tmp/soakcheck" ./tools/soakcheck
@@ -221,7 +207,7 @@ echo "== fleet sweep gate =="
 # two localhost workers — with one worker SIGKILLed mid-sweep. The dead
 # worker's lease must expire and be re-dispatched (>=1 redelivery in the
 # summary), and the merged table and export must come out byte-identical
-# to the local run's (DESIGN.md §12). -acquire-delay holds the victim
+# to the local run's (DESIGN.md §11). -acquire-delay holds the victim
 # between lease grant and unit start so the kill reliably orphans a lease.
 go build -o "$tmp/tvarak-gateway" ./cmd/tvarak-gateway
 go build -o "$tmp/tvarak-worker" ./cmd/tvarak-worker
@@ -257,7 +243,7 @@ diff <(grep -v '^# ' "$tmp/clean.txt") <(grep -v '^# ' "$tmp/fleet.txt")
 
 echo "== vilamb fleet sweep gate =="
 # The async-family reduced sweep (ext-async-mini: Baseline/TVARAK anchors
-# plus epoch x granularity x battery Vilamb points, DESIGN.md §13) through
+# plus epoch x granularity x battery Vilamb points, DESIGN.md §12) through
 # the same kill-a-worker fleet: the async axes must survive the JobSpec
 # round-trip and lease redelivery, and the merged table, both derived
 # figure panels, and the export must come out byte-identical to a local

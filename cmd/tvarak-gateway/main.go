@@ -17,7 +17,7 @@
 //
 // Workers connect with: tvarak-worker -gateway http://host:port
 //
-// Robustness model (DESIGN.md §12): workers hold units under TTL leases
+// Robustness model (DESIGN.md §11): workers hold units under TTL leases
 // extended by heartbeats; a lease that expires re-enters dispatch behind a
 // seeded-jitter exponential backoff, bounded by -max-deliveries. Results
 // are accepted by unit fingerprint, not lease, so a result computed under
@@ -58,7 +58,6 @@ func main() {
 		full        = flag.Bool("full", false, "use the paper's full-scale machine instead of the 1/16-scale reproduction machine")
 		designs     = flag.String("designs", "", "comma-separated subset of designs (baseline,tvarak,txb-object,txb-page,vilamb)")
 		sampleEvery = flag.Uint64("sample-every", 0, "epoch length in cycles for per-run time series in the export (0 = aggregates only)")
-		shards      = flag.Int("shards", 1, "OS threads sharing each cell's weave phase on the workers")
 
 		epochCyc    = flag.Uint64("epoch", 0, "async (vilamb-family) epoch interval in cycles (0 = the design default)")
 		dirtyGran   = flag.String("dirty-gran", "", "async dirty-tracking granularity: page, line or range (default page)")
@@ -91,7 +90,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, err := buildSpec(*campaign, *exp, *scale, *full, *designs, *sampleEvery, *shards, *seed, *n, *apps)
+	spec, err := buildSpec(*campaign, *exp, *scale, *full, *designs, *sampleEvery, *seed, *n, *apps)
 	if err != nil {
 		fatal(err)
 	}
@@ -224,7 +223,7 @@ func fatal(err error) {
 }
 
 // buildSpec assembles the declarative job description served to workers.
-func buildSpec(campaign bool, exp string, scale float64, full bool, designs string, sampleEvery uint64, shards int, seed int64, n int, apps string) (fleet.JobSpec, error) {
+func buildSpec(campaign bool, exp string, scale float64, full bool, designs string, sampleEvery uint64, seed int64, n int, apps string) (fleet.JobSpec, error) {
 	if campaign {
 		if exp != "" {
 			return fleet.JobSpec{}, fmt.Errorf("-campaign and -exp are mutually exclusive")
@@ -244,7 +243,7 @@ func buildSpec(campaign bool, exp string, scale float64, full bool, designs stri
 	}
 	return fleet.JobSpec{
 		Kind: "sweep", Experiment: exp, Scale: scale, FullScale: full,
-		Designs: names, SampleEvery: sampleEvery, Shards: shards,
+		Designs: names, SampleEvery: sampleEvery,
 	}, nil
 }
 

@@ -67,7 +67,6 @@ func main() {
 		incremental = flag.Bool("incremental", false, "spread each async epoch's reconciliation across sub-slices instead of one batched pass")
 		jsonOut     = flag.Bool("json", false, "emit one JSON object per run instead of tables")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "max simulation cells running concurrently (1 = sequential; tables are identical at any level)")
-		shards      = flag.Int("shards", 1, "OS threads sharing each cell's weave phase (1 = serial; tables are byte-identical at any level; combine with -parallel 1)")
 		progress    = flag.Bool("progress", false, "print per-cell completion, timing and live counters to stderr as cells finish")
 
 		metricsOut  = flag.String("metrics-out", "", "write the versioned machine-readable export to this path (CSV when it ends in .csv, JSON otherwise)")
@@ -138,7 +137,7 @@ func main() {
 
 	opts := experiments.Options{
 		Scale: *scale, FullScale: *full, Designs: parseDesigns(*designs),
-		Parallel: *parallel, Shards: *shards, SampleEvery: *sampleEvery,
+		Parallel: *parallel, SampleEvery: *sampleEvery,
 		Context: ctx, CellTimeout: *cellTimeout, Retries: *retries, Degrade: *keepGoing,
 		Async: parseAsync(*epochCyc, *dirtyGran, *battery, *incremental),
 	}
@@ -146,7 +145,7 @@ func main() {
 	// Live telemetry backs both the -ops-addr endpoint and -progress: the
 	// interactive renderer and /runs read the same board, so they can never
 	// disagree. It is wall-clock-domain and read-only — attaching it leaves
-	// tables and -metrics-out exports byte-identical (DESIGN.md §10).
+	// tables and -metrics-out exports byte-identical (DESIGN.md §9).
 	var lt *tvarak.LiveTelemetry
 	if *opsAddr != "" || *opsLedger != "" || *progress {
 		lt = tvarak.NewLiveTelemetry()

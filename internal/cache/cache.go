@@ -52,7 +52,6 @@ type Line struct {
 	Data   []byte
 	Owners uint64 // LLC directory: bit i set if core i's private caches hold the line
 	lru    uint64
-	way    uint8 // fixed way index within its set, assigned at New
 }
 
 // Dirty reports whether the line holds content newer than the level below.
@@ -63,17 +62,7 @@ type Cache struct {
 	sets     [][]Line
 	lineSize int
 	stride   uint64 // line-address stride between consecutive sets (LLC bank interleave)
-
-	// LRU recency is tracked per way-partition rather than with a single
-	// global counter: partOf maps a way index to its partition, ticks holds
-	// one monotonic counter per partition. Victim selection only ever
-	// compares lru values within one partition-aligned way range (data vs.
-	// redundancy vs. diff ways in the LLC), so per-partition counters pick
-	// the same victims as a global counter — while letting the sharded
-	// weave touch the redundancy partition from a worker thread without
-	// racing the engine thread's data-partition touches.
-	partOf []uint8
-	ticks  []uint64
+	tick     uint64
 
 	// Set indexing runs 1-3 times per simulated access, so the two-divide
 	// index computation is folded into one divisor (floor(floor(a/l)/s) ==
@@ -96,9 +85,6 @@ func New(sets, ways, lineSize int, stride uint64) *Cache {
 	if lineSize <= 0 || stride == 0 {
 		panic(fmt.Sprintf("cache: invalid geometry lineSize=%d stride=%d", lineSize, stride))
 	}
-	if ways > 256 {
-		panic(fmt.Sprintf("cache: %d ways exceeds way-index range", ways))
-	}
 	c := &Cache{lineSize: lineSize, stride: stride}
 	c.setDiv = uint64(lineSize) * stride
 	c.setMask = uint64(sets - 1)
@@ -110,44 +96,8 @@ func New(sets, ways, lineSize int, stride uint64) *Cache {
 	backing := make([]Line, sets*ways)
 	for i := range c.sets {
 		c.sets[i] = backing[i*ways : (i+1)*ways]
-		for w := range c.sets[i] {
-			c.sets[i][w].way = uint8(w)
-		}
 	}
-	c.partOf = make([]uint8, ways)
-	c.ticks = make([]uint64, 1)
 	return c
-}
-
-// SetPartitions divides the ways into LRU partitions at the given ascending
-// upper bounds (each bound is the first way of the next partition; a final
-// bound equal to Ways is implicit). Callers must keep Victim/Touch way
-// ranges aligned to these partitions. Must be called on an empty cache —
-// it resets all recency state.
-func (c *Cache) SetPartitions(bounds ...int) {
-	ways := c.Ways()
-	part := 0
-	prev := 0
-	for _, b := range bounds {
-		if b < prev || b > ways {
-			panic(fmt.Sprintf("cache: partition bound %d out of order (ways=%d)", b, ways))
-		}
-		if b == prev {
-			continue // empty partition (e.g. a disabled LLC red/diff region)
-		}
-		for w := prev; w < b; w++ {
-			c.partOf[w] = uint8(part)
-		}
-		part++
-		prev = b
-	}
-	if prev < ways {
-		for w := prev; w < ways; w++ {
-			c.partOf[w] = uint8(part)
-		}
-		part++
-	}
-	c.ticks = make([]uint64, part)
 }
 
 // Sets returns the number of sets.
@@ -177,11 +127,10 @@ func (c *Cache) Lookup(addr uint64, wayLo, wayHi int) *Line {
 	return nil
 }
 
-// Touch marks the line most-recently-used within its way-partition.
+// Touch marks the line most-recently-used.
 func (c *Cache) Touch(l *Line) {
-	p := c.partOf[l.way]
-	c.ticks[p]++
-	l.lru = c.ticks[p]
+	c.tick++
+	l.lru = c.tick
 }
 
 // Victim returns the line to evict to make room for addr within ways

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -83,6 +84,40 @@ func TestWayPartitionIsolation(t *testing.T) {
 	v3 := c.Victim(64, 0, 2)
 	if !(v3 == c.Lookup(0, 0, 2) || v3.State == Invalid) {
 		t.Error("victim chosen outside partition")
+	}
+}
+
+// TestSharedTickMatchesPerRangeLRU checks that one LRU tick shared by the
+// whole cache picks the same victims as a private tick per way range: the
+// LLC's data, redundancy and diff ranges are touched interleaved, and each
+// range's victims must match a reference cache holding only that range.
+func TestSharedTickMatchesPerRangeLRU(t *testing.T) {
+	ranges := [][2]int{{0, 5}, {5, 7}, {7, 10}} // data, redundancy, diff
+	c := New(4, 10, 64, 1)
+	ref := make([]*Cache, len(ranges))
+	for i, r := range ranges {
+		ref[i] = New(4, r[1]-r[0], 64, 1)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 20000; step++ {
+		i := rng.Intn(len(ranges))
+		lo, hi := ranges[i][0], ranges[i][1]
+		addr := uint64(rng.Intn(48)) * 64
+		got, want := c.Lookup(addr, lo, hi), ref[i].Lookup(addr, 0, hi-lo)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("step %d range %d: hit %v, reference hit %v", step, i, got != nil, want != nil)
+		}
+		if got != nil {
+			c.Touch(got)
+			ref[i].Touch(want)
+			continue
+		}
+		v, rv := c.Victim(addr, lo, hi), ref[i].Victim(addr, 0, hi-lo)
+		if v.State != rv.State || v.Addr != rv.Addr {
+			t.Fatalf("step %d range %d: victim %#x (%v), reference %#x (%v)", step, i, v.Addr, v.State, rv.Addr, rv.State)
+		}
+		c.Install(v, addr, line(byte(step)), Shared)
+		ref[i].Install(rv, addr, line(byte(step)), Shared)
 	}
 }
 

@@ -59,7 +59,7 @@ func (t *Controller) verifyPageGranular(issue, complete uint64, bank int, addr u
 			copy(t.pageBuf[i*ls:], data)
 			continue
 		}
-		done, _ := t.mem.ReadLine(issue, la, nvm.Redundancy, t.pageBuf[i*ls:(i+1)*ls])
+		done, _ := t.eng.NVM.ReadLine(issue, la, nvm.Redundancy, t.pageBuf[i*ls:(i+1)*ls])
 		ready = max(ready, done)
 	}
 	var lat uint64 = t.p.MatchLatencyCyc
@@ -98,9 +98,9 @@ func (t *Controller) OnDirtyInstall(now uint64, addr uint64, oldClean []byte) {
 		t.earlyWriteback(now, v)
 	}
 	b.Install(v, addr, oldClean, cache.Shared)
-	t.st.DiffStashes++
-	t.emit(obs.EvDiffStash, now, addr, 0)
-	t.st.AddCache(stats.LLC, true, t.eng.Cfg.LLCBank.HitEnergyPJ)
+	t.eng.St.DiffStashes++
+	t.eng.Emit(obs.EvDiffStash, now, addr, 0)
+	t.eng.St.AddCache(stats.LLC, true, t.eng.Cfg.LLCBank.HitEnergyPJ)
 }
 
 // earlyWriteback handles a data-diff eviction: the controller writes the
@@ -108,23 +108,23 @@ func (t *Controller) OnDirtyInstall(now uint64, addr uint64, oldClean []byte) {
 // as old data) and marks the line clean in the LLC without evicting it, so
 // a later eviction of the data line needs no old-data read.
 func (t *Controller) earlyWriteback(now uint64, v *cache.Line) {
-	t.st.DiffEvictions++
+	t.eng.St.DiffEvictions++
 	dataAddr := v.Addr
-	t.emit(obs.EvDiffEvict, now, dataAddr, 0)
+	t.eng.Emit(obs.EvDiffEvict, now, dataAddr, 0)
 	b := t.eng.Bank(dataAddr)
 	dl := b.Lookup(dataAddr, 0, t.eng.DataWays())
 	if dl == nil || !dl.Dirty() {
 		return // stale diff: the data line was already written back
 	}
-	t.st.AddCache(stats.LLC, true, t.eng.Cfg.LLCBank.HitEnergyPJ)
+	t.eng.St.AddCache(stats.LLC, true, t.eng.Cfg.LLCBank.HitEnergyPJ)
 	m := t.match(dataAddr)
 	if m == nil {
 		return
 	}
 	t.updateRedundancy(now, m, dataAddr, v.Data, dl.Data)
-	t.st.Writebacks++
-	t.emit(obs.EvEarlyWriteback, now, dataAddr, 0)
-	t.mem.WriteLine(now, dataAddr, nvm.Data, dl.Data)
+	t.eng.St.Writebacks++
+	t.eng.Emit(obs.EvEarlyWriteback, now, dataAddr, 0)
+	t.eng.NVM.WriteLine(now, dataAddr, nvm.Data, dl.Data)
 	dl.State = cache.Shared
 }
 
@@ -135,10 +135,10 @@ func (t *Controller) diffTake(addr uint64) []byte {
 	l := b.Lookup(addr, t.diffLo, t.diffHi)
 	cfg := t.eng.Cfg
 	if l == nil {
-		t.st.AddCache(stats.LLC, false, cfg.LLCBank.MissEnergyPJ)
+		t.eng.St.AddCache(stats.LLC, false, cfg.LLCBank.MissEnergyPJ)
 		return nil
 	}
-	t.st.AddCache(stats.LLC, true, cfg.LLCBank.HitEnergyPJ)
+	t.eng.St.AddCache(stats.LLC, true, cfg.LLCBank.HitEnergyPJ)
 	copy(t.scratchOld, l.Data)
 	b.Invalidate(l)
 	return t.scratchOld
@@ -164,7 +164,7 @@ func (t *Controller) OnWriteback(now uint64, addr uint64, oldClean, newData []by
 	if old == nil {
 		// No diff (naive mode, exclusive-cache mode, or a stale diff):
 		// re-read the old data from NVM before it is overwritten.
-		t.mem.ReadLine(now, addr, nvm.Redundancy, t.scratchOld)
+		t.eng.NVM.ReadLine(now, addr, nvm.Redundancy, t.scratchOld)
 		old = t.scratchOld
 	}
 	t.updateRedundancy(now, m, addr, old, newData)
@@ -197,7 +197,7 @@ func (t *Controller) updateRedundancyPage(now uint64, m *Mapping, addr uint64, n
 	ls := t.lineSize
 	var lat uint64
 	for i := 0; i < geo.LinesPerPage(); i++ {
-		t.mem.ReadLine(now, base+uint64(i*ls), nvm.Redundancy, t.pageBuf[i*ls:(i+1)*ls])
+		t.eng.NVM.ReadLine(now, base+uint64(i*ls), nvm.Redundancy, t.pageBuf[i*ls:(i+1)*ls])
 	}
 	copy(t.scratchOld, t.pageBuf[off:off+ls])
 	pAddr := geo.ParityLineAddr(addr)
@@ -220,8 +220,8 @@ func (t *Controller) updateRedundancyPage(now uint64, m *Mapping, addr uint64, n
 // recovered content. It panics if the reconstruction still fails the
 // checksum (an unrecoverable double fault).
 func (t *Controller) recoverLine(now uint64, bank int, addr uint64, data []byte, want uint32, lat *uint64) {
-	t.st.CorruptionsDetected++
-	t.emit(obs.EvCorruption, now, addr, 0)
+	t.eng.St.CorruptionsDetected++
+	t.eng.Emit(obs.EvCorruption, now, addr, 0)
 	if t.CorruptionHook != nil {
 		t.CorruptionHook(addr)
 	}
@@ -229,7 +229,7 @@ func (t *Controller) recoverLine(now uint64, bank int, addr uint64, data []byte,
 	prl := t.redGet(now, bank, t.eng.Geo.ParityLineAddr(addr), lat)
 	copy(rec, prl.Data)
 	for _, sib := range t.eng.Geo.SiblingLineAddrs(addr) {
-		done, _ := t.mem.ReadLine(now, sib, nvm.Redundancy, t.scratchSib)
+		done, _ := t.eng.NVM.ReadLine(now, sib, nvm.Redundancy, t.scratchSib)
 		*lat += done - now
 		xsum.XORInto(rec, t.scratchSib)
 	}
@@ -237,17 +237,17 @@ func (t *Controller) recoverLine(now uint64, bank int, addr uint64, data []byte,
 		panic(fmt.Sprintf("core: line %#x unrecoverable (parity reconstruction fails checksum)", addr))
 	}
 	copy(data, rec)
-	t.mem.WriteLine(now, addr, nvm.Data, rec) // repair media
-	t.st.Recoveries++
-	t.emit(obs.EvRecovery, now, addr, *lat)
+	t.eng.NVM.WriteLine(now, addr, nvm.Data, rec) // repair media
+	t.eng.St.Recoveries++
+	t.eng.Emit(obs.EvRecovery, now, addr, *lat)
 }
 
 // recoverPage reconstructs every line of the page at base from parity in
 // naive page-granular mode, repairing media and leaving the recovered page
 // in t.pageBuf. want is the stored page checksum the result must match.
 func (t *Controller) recoverPage(now uint64, bank int, base uint64, want uint32, lat *uint64) {
-	t.st.CorruptionsDetected++
-	t.emit(obs.EvCorruption, now, base, 1)
+	t.eng.St.CorruptionsDetected++
+	t.eng.Emit(obs.EvCorruption, now, base, 1)
 	if t.CorruptionHook != nil {
 		t.CorruptionHook(base)
 	}
@@ -258,17 +258,17 @@ func (t *Controller) recoverPage(now uint64, bank int, base uint64, want uint32,
 		prl := t.redGet(now, bank, t.eng.Geo.ParityLineAddr(la), lat)
 		copy(rec, prl.Data)
 		for _, sib := range t.eng.Geo.SiblingLineAddrs(la) {
-			done, _ := t.mem.ReadLine(now, sib, nvm.Redundancy, t.scratchSib)
+			done, _ := t.eng.NVM.ReadLine(now, sib, nvm.Redundancy, t.scratchSib)
 			*lat += done - now
 			xsum.XORInto(rec, t.scratchSib)
 		}
-		t.mem.WriteLine(now, la, nvm.Data, rec)
+		t.eng.NVM.WriteLine(now, la, nvm.Data, rec)
 	}
 	if xsum.Checksum(t.pageBuf) != want {
 		panic(fmt.Sprintf("core: page %#x unrecoverable (parity reconstruction fails checksum)", base))
 	}
-	t.st.Recoveries++
-	t.emit(obs.EvRecovery, now, base, *lat)
+	t.eng.St.Recoveries++
+	t.eng.Emit(obs.EvRecovery, now, base, *lat)
 }
 
 // CheckInvariants validates the controller's structural invariants and
@@ -341,7 +341,7 @@ func (t *Controller) Drain(now uint64) {
 	for _, b := range t.eng.Banks {
 		b.ForEach(t.redLo, t.redHi, func(l *cache.Line) {
 			if l.Dirty() {
-				t.mem.WriteLine(now, l.Addr, nvm.Redundancy, l.Data)
+				t.eng.NVM.WriteLine(now, l.Addr, nvm.Redundancy, l.Data)
 				l.State = cache.Shared
 			}
 		})

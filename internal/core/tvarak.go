@@ -49,21 +49,9 @@ type Mapping struct {
 }
 
 // Controller is the TVARAK controller complex.
-//
-// All media, statistics and event traffic flows through the rebindable
-// execution context (st, mem, emit) rather than the engine's fields
-// directly: the sharded engine (sim.ShardableController) points these at a
-// worker's private sinks while a deferred writeback bundle runs on that
-// worker, and back at the engine's sinks for inline calls. Controller
-// calls are never concurrent with each other (deferred bundles are
-// globally ticket-ordered and inline calls quiesce them first), so the
-// scratch buffers below stay safe.
 type Controller struct {
-	eng  *sim.Engine
-	p    param.TvarakParams
-	st   *stats.Stats
-	mem  nvm.Accessor
-	emit func(obs.EventKind, uint64, uint64, uint64)
+	eng *sim.Engine
+	p   param.TvarakParams
 
 	mappings []Mapping
 	// pageCsumDI is the data-page index of the file system's global
@@ -100,9 +88,6 @@ func New(eng *sim.Engine) *Controller {
 	t := &Controller{
 		eng:           eng,
 		p:             p,
-		st:            eng.St,
-		mem:           eng.NVM.Direct(),
-		emit:          eng.Emit,
 		holders:       make(map[uint64]uint64),
 		lineSize:      cfg.LineSize,
 		scratchOld:    make([]byte, cfg.LineSize),
@@ -121,14 +106,6 @@ func New(eng *sim.Engine) *Controller {
 	if p.Features.DataDiffs {
 		t.diffHi = t.redHi + p.DiffWays
 	}
-	// The engine and controller only ever run LRU victim selection within
-	// one way partition (data / redundancy / diff), so give each partition
-	// its own LRU tick stream. Ordering within a partition is unchanged;
-	// the split only decouples the partitions' counters so the sharded
-	// engine's workers never race on a shared tick (see DESIGN.md).
-	for _, b := range eng.Banks {
-		b.SetPartitions(dataWays, t.redHi, t.diffHi)
-	}
 	if p.Features.RedundancyCaching {
 		t.onCtrl = make([]*cache.Cache, len(eng.Banks))
 		lines := p.OnCtrlCacheBytes / cfg.LineSize
@@ -140,14 +117,6 @@ func New(eng *sim.Engine) *Controller {
 	}
 	eng.SetRedundancy(t)
 	return t
-}
-
-// SetShardExec rebinds the controller's execution context: the stats sink,
-// the (possibly worker-accounted) NVM accessor and the event emitter. The
-// sharded engine calls it around deferred writeback bundles; it implements
-// sim.ShardableController.
-func (t *Controller) SetShardExec(st *stats.Stats, mem nvm.Accessor, emit func(obs.EventKind, uint64, uint64, uint64)) {
-	t.st, t.mem, t.emit = st, mem, emit
 }
 
 // RegisterMapping programs the controller's comparators for a newly
@@ -239,19 +208,19 @@ type redLine struct {
 func (t *Controller) redGet(now uint64, bank int, addr uint64, lat *uint64) redLine {
 	if !t.p.Features.RedundancyCaching {
 		buf := t.scratchNoCash
-		done, _ := t.mem.ReadLine(now, addr, nvm.Redundancy, buf)
+		done, _ := t.eng.NVM.ReadLine(now, addr, nvm.Redundancy, buf)
 		*lat += done - now
 		return redLine{Data: buf, addr: addr}
 	}
 	oc := t.onCtrl[bank]
 	*lat += t.p.OnCtrlLatencyCyc
 	if l := oc.Lookup(addr, 0, oc.Ways()); l != nil {
-		t.st.AddCache(stats.TvarakCache, true, t.p.OnCtrlHitEnergyPJ)
+		t.eng.St.AddCache(stats.TvarakCache, true, t.p.OnCtrlHitEnergyPJ)
 		oc.Touch(l)
 		t.claimExclusive(now, addr, bank)
 		return redLine{Data: l.Data, addr: addr, cached: l}
 	}
-	t.st.AddCache(stats.TvarakCache, false, t.p.OnCtrlMissEnergyPJ)
+	t.eng.St.AddCache(stats.TvarakCache, false, t.p.OnCtrlMissEnergyPJ)
 	// Another controller may hold a newer (dirty) copy: write it back to
 	// the LLC partition and invalidate it before we read.
 	t.claimExclusive(now, addr, bank)
@@ -272,7 +241,7 @@ func (t *Controller) redPut(now uint64, rl redLine) {
 		rl.cached.State = cache.Modified
 		return
 	}
-	t.mem.WriteLine(now, rl.addr, nvm.Redundancy, rl.Data)
+	t.eng.NVM.WriteLine(now, rl.addr, nvm.Redundancy, rl.Data)
 }
 
 // claimExclusive invalidates every other bank's on-controller copy of addr,
@@ -297,8 +266,8 @@ func (t *Controller) claimExclusive(now uint64, addr uint64, bank int) {
 			t.copyBackToLLC(l)
 		}
 		oc.Invalidate(l)
-		t.st.RedInvalidations++
-		t.emit(obs.EvRedInval, now, addr, uint64(b))
+		t.eng.St.RedInvalidations++
+		t.eng.Emit(obs.EvRedInval, now, addr, uint64(b))
 	}
 	t.holders[addr] &= 1 << uint(bank)
 }
@@ -313,7 +282,7 @@ func (t *Controller) copyBackToLLC(l *cache.Line) {
 	}
 	copy(ll.Data, l.Data)
 	ll.State = cache.Modified
-	t.st.AddCache(stats.LLC, true, t.eng.Cfg.LLCBank.HitEnergyPJ)
+	t.eng.St.AddCache(stats.LLC, true, t.eng.Cfg.LLCBank.HitEnergyPJ)
 }
 
 // evictOnCtrl frees one on-controller way, folding dirty content back into
@@ -333,14 +302,14 @@ func (t *Controller) llcRedGet(now uint64, addr uint64, lat *uint64) *cache.Line
 	b := t.eng.Bank(addr)
 	*lat += cfg.LLCBank.LatencyCyc
 	if l := b.Lookup(addr, t.redLo, t.redHi); l != nil {
-		t.st.AddCache(stats.LLC, true, cfg.LLCBank.HitEnergyPJ)
+		t.eng.St.AddCache(stats.LLC, true, cfg.LLCBank.HitEnergyPJ)
 		b.Touch(l)
 		return l
 	}
-	t.st.AddCache(stats.LLC, false, cfg.LLCBank.MissEnergyPJ)
+	t.eng.St.AddCache(stats.LLC, false, cfg.LLCBank.MissEnergyPJ)
 	// Install copies, so the fill scratch never escapes this call.
 	buf := t.scratchFill
-	done, _ := t.mem.ReadLine(now, addr, nvm.Redundancy, buf)
+	done, _ := t.eng.NVM.ReadLine(now, addr, nvm.Redundancy, buf)
 	*lat += done - now
 	v := b.Victim(addr, t.redLo, t.redHi)
 	if v.State != cache.Invalid {
@@ -366,14 +335,14 @@ func (t *Controller) evictRedLLC(now uint64, v *cache.Line) {
 					v.State = cache.Modified
 				}
 				oc.Invalidate(l)
-				t.st.RedInvalidations++
-				t.emit(obs.EvRedInval, now, v.Addr, uint64(b))
+				t.eng.St.RedInvalidations++
+				t.eng.Emit(obs.EvRedInval, now, v.Addr, uint64(b))
 			}
 		}
 		delete(t.holders, v.Addr)
 	}
 	if v.Dirty() {
-		t.mem.WriteLine(now, v.Addr, nvm.Redundancy, v.Data)
+		t.eng.NVM.WriteLine(now, v.Addr, nvm.Redundancy, v.Data)
 	}
 	t.eng.Bank(v.Addr).Invalidate(v)
 }

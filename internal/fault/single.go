@@ -26,9 +26,6 @@ type UnitParams struct {
 	// N is the number of injection specs in the plan (0 = a clean unit:
 	// warmup segment plus the end-of-unit oracle verification only).
 	N int `json:"n"`
-	// Shards is the weave-shard count for the unit's machine (a free
-	// determinism axis: results are byte-identical at any value).
-	Shards int `json:"shards"`
 
 	// EpochCyc, DirtyGran, Battery and Incremental shape the async
 	// (Vilamb family) configuration of the unit's machine; all-default
@@ -56,8 +53,7 @@ func (p UnitParams) AsyncCfg() param.AsyncConfig {
 
 // Key is the stable identity string used for journaling and ledger lines.
 func (p UnitParams) Key() string {
-	k := fmt.Sprintf("%s/%s|seed=%d|n=%d|shards=%d",
-		p.App, p.Design, p.Seed, p.N, p.Shards)
+	k := fmt.Sprintf("%s/%s|seed=%d|n=%d", p.App, p.Design, p.Seed, p.N)
 	if a := p.AsyncCfg(); !a.IsZero() {
 		k += "|async=" + a.Label()
 	}
@@ -77,7 +73,7 @@ func RunSingleUnit(ctx context.Context, p UnitParams) (*UnitReport, error) {
 		return nil, err
 	}
 	plan := NewPlan(p.App, p.Seed, p.N)
-	rep := runUnitShards(ctx, spec, p.Design, plan, p.Shards, p.AsyncCfg())
+	rep := runUnit(ctx, spec, p.Design, plan, p.AsyncCfg())
 	if rep == nil {
 		return nil, context.Cause(ctx)
 	}

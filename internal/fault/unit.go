@@ -148,20 +148,10 @@ type unitCtx struct {
 // cancels the unit cooperatively at the engine's next phase boundary;
 // an interrupted unit returns nil (a half-run unit's report would fail
 // the sweeps for reasons that are the interruption's fault, not the
-// design's).
+// design's). async shapes the Vilamb family's machine (ignored for other
+// designs); fault units always run with the scrub pass on, since
+// scrubbing is the async designs' out-of-window detection mechanism.
 func runUnit(ctx context.Context, app appSpec, design param.Design, plan Plan, async param.AsyncConfig) (rep *UnitReport) {
-	return runUnitShards(ctx, app, design, plan, 0, async)
-}
-
-// runUnitShards is runUnit with the weave-shard count threaded through to
-// the unit's machine configuration. Shards never change results (the
-// sharded weave is byte-identical at any setting, and the oracle's
-// observers degrade it to serial anyway), so reports stay comparable
-// across shard settings — the soak harness uses that as a free axis.
-// async shapes the Vilamb family's machine (ignored for other designs);
-// fault units always run with the scrub pass on, since scrubbing is the
-// async designs' out-of-window detection mechanism.
-func runUnitShards(ctx context.Context, app appSpec, design param.Design, plan Plan, shards int, async param.AsyncConfig) (rep *UnitReport) {
 	rep = &UnitReport{App: plan.App, Design: design.String(), Rounds: len(plan.Rounds)}
 	defer func() {
 		if r := recover(); r != nil {
@@ -175,7 +165,6 @@ func runUnitShards(ctx context.Context, app appSpec, design param.Design, plan P
 		inWindow: make(map[uint64]bool),
 	}
 	cfg := param.SmallTest(design)
-	cfg.Shards = shards
 	if design == param.Vilamb {
 		async.Scrub = true
 		cfg.Async = async

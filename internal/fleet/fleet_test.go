@@ -564,7 +564,7 @@ func TestFleetCampaignMergeByteIdenticalToLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan, err := NewCampaignPlan(opt, 0)
+	plan, err := NewCampaignPlan(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func TestFleetCampaignMergeByteIdenticalToLocal(t *testing.T) {
 		workers[i] = &Worker{
 			Gateway: srv.URL,
 			Name:    fmt.Sprintf("w%d", i),
-			Build:   func(JobSpec) (Plan, error) { return NewCampaignPlan(opt, 0) },
+			Build:   func(JobSpec) (Plan, error) { return NewCampaignPlan(opt) },
 			Backoff: fastBackoff(),
 		}
 	}

@@ -62,7 +62,6 @@ func BuildPlan(spec JobSpec) (Plan, error) {
 			FullScale:   spec.FullScale,
 			Designs:     designs,
 			SampleEvery: spec.SampleEvery,
-			Shards:      spec.Shards,
 			Async:       async,
 		}
 		cells := exp.Cells(o)
@@ -82,7 +81,7 @@ func BuildPlan(spec JobSpec) (Plan, error) {
 		}
 		opt := fault.Options{Seed: spec.Seed, N: spec.N, Apps: spec.Apps,
 			Designs: designs, Async: async}
-		return NewCampaignPlan(opt, spec.Shards)
+		return NewCampaignPlan(opt)
 	default:
 		return nil, fmt.Errorf("fleet: unknown job kind %q (want sweep or campaign)", spec.Kind)
 	}
@@ -212,18 +211,17 @@ func (p *SweepPlan) MergeTable(title string, payloads []json.RawMessage, failure
 // fault.CampaignUnits — identical to a local fault.Run — and each unit's
 // payload is its UnitReport JSON.
 type CampaignPlan struct {
-	opt    fault.Options
-	units  []fault.CampaignUnit
-	shards int
+	opt   fault.Options
+	units []fault.CampaignUnit
 }
 
 // NewCampaignPlan enumerates the campaign opt declares.
-func NewCampaignPlan(opt fault.Options, shards int) (*CampaignPlan, error) {
+func NewCampaignPlan(opt fault.Options) (*CampaignPlan, error) {
 	units, err := fault.CampaignUnits(opt)
 	if err != nil {
 		return nil, err
 	}
-	return &CampaignPlan{opt: opt, units: units, shards: shards}, nil
+	return &CampaignPlan{opt: opt, units: units}, nil
 }
 
 func (p *CampaignPlan) Scope() string            { return p.opt.Scope() }
@@ -236,9 +234,7 @@ func (p *CampaignPlan) Label(i int) string       { return p.units[i].Label }
 // inside the report and are delivered as results — the gateway must see
 // them to fold the campaign verdict, and re-running would not change them.
 func (p *CampaignPlan) RunUnit(ctx context.Context, i int) (json.RawMessage, error) {
-	params := p.units[i].Params
-	params.Shards = p.shards
-	rep, err := fault.RunSingleUnit(ctx, params)
+	rep, err := fault.RunSingleUnit(ctx, p.units[i].Params)
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,6 @@ type JobSpec struct {
 	FullScale   bool     `json:"fullScale,omitempty"`
 	Designs     []string `json:"designs,omitempty"`
 	SampleEvery uint64   `json:"sampleEvery,omitempty"`
-	Shards      int      `json:"shards,omitempty"`
 
 	// Campaign fields (fault.Options that shape units). Designs is shared
 	// with sweep jobs above.

@@ -203,9 +203,6 @@ func TestCellProbeDeltasAndRebase(t *testing.T) {
 	if got := tl.Engine.Accesses.Value(); got != 30 {
 		t.Fatalf("accesses after rebase = %d, want 30", got)
 	}
-	if got := tl.Engine.ShardQueue.Value(); got != 0 {
-		t.Fatalf("shard queue = %v, want 0", got)
-	}
 }
 
 func TestServerEndpointsAndNoLeak(t *testing.T) {

@@ -15,7 +15,7 @@
 // The package deliberately lives in the wall-clock domain: its counters
 // answer "what is this process doing right now", while internal/obs answers
 // "what did the simulated machine do at which simulated cycle". The two
-// domains never mix — see DESIGN.md §10.
+// domains never mix — see DESIGN.md §9.
 package live
 
 import (
@@ -30,7 +30,7 @@ import (
 )
 
 // stripes is each counter's slot count (power of two). Concurrent updaters
-// with distinct hints (cell indices, shard IDs) land on distinct cache
+// with distinct hints (cell indices, worker IDs) land on distinct cache
 // lines; Value folds the stripes at read time.
 const stripes = 8
 
@@ -54,7 +54,7 @@ type Counter struct {
 func (c *Counter) Add(n uint64) { c.s[0].v.Add(n) }
 
 // AddAt increments the counter by n on the stripe selected by hint (a cell
-// index, shard ID, or any value that separates concurrent updaters).
+// index, worker ID, or any value that separates concurrent updaters).
 func (c *Counter) AddAt(hint int, n uint64) {
 	c.s[uint(hint)&(stripes-1)].v.Add(n)
 }

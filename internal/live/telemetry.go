@@ -21,10 +21,9 @@ type RunnerMetrics struct {
 // process runs. Updated only from Engine.Probe at weave-phase barriers, so
 // it costs nothing per access and never perturbs the simulation.
 type EngineMetrics struct {
-	Accesses   *Counter // simulated loads+stores completed
-	Cycles     *Counter // simulated cycles advanced
-	Phases     *Counter // weave phases completed
-	ShardQueue *Gauge   // deferred items queued in shard rings at the last phase boundary
+	Accesses *Counter // simulated loads+stores completed
+	Cycles   *Counter // simulated cycles advanced
+	Phases   *Counter // weave phases completed
 }
 
 // FaultMetrics counts fault-campaign injection outcomes.
@@ -102,8 +101,6 @@ func NewTelemetry() *Telemetry {
 		"Simulated cycles advanced, summed across cells.")
 	t.Engine.Phases = r.NewCounter("tvarak_sim_phases_total",
 		"Bound-weave phases completed, summed across cells.")
-	t.Engine.ShardQueue = r.NewGauge("tvarak_sim_shard_queue_depth",
-		"Deferred work items queued in shard rings at the most recent phase boundary.")
 
 	t.Fault.Armed = r.NewCounter("tvarak_fault_injections_armed_total",
 		"Fault injections armed by the campaign.")
@@ -169,9 +166,9 @@ func (t *Telemetry) TraceGauges(written, dropped func() uint64) {
 // The closure's locals are touched only by the engine thread that owns the
 // cell, and each counter add lands on the cell's own stripe — concurrent
 // cells never contend.
-func (t *Telemetry) CellProbe(index int) func(cycles, accesses, shardQueued uint64) {
+func (t *Telemetry) CellProbe(index int) func(cycles, accesses, _ uint64) {
 	var lastCyc, lastAcc uint64
-	return func(cycles, accesses, shardQueued uint64) {
+	return func(cycles, accesses, _ uint64) {
 		if accesses < lastAcc || cycles < lastCyc {
 			lastCyc, lastAcc = 0, 0
 		}
@@ -179,7 +176,6 @@ func (t *Telemetry) CellProbe(index int) func(cycles, accesses, shardQueued uint
 		t.Engine.Cycles.AddAt(index, cycles-lastCyc)
 		t.Engine.Phases.AddAt(index, 1)
 		lastCyc, lastAcc = cycles, accesses
-		t.Engine.ShardQueue.SetInt(shardQueued)
 		t.Board.CellProgress(index, cycles, accesses)
 	}
 }

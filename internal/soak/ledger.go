@@ -37,7 +37,6 @@ type LedgerLine struct {
 
 	App      string `json:"app"`
 	Design   string `json:"design"`
-	Shards   int    `json:"shards"`
 	N        int    `json:"n"`
 	UnitSeed int64  `json:"unitSeed"`
 

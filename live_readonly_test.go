@@ -2,8 +2,8 @@
 // metrics registry, the /runs board, the HTTP server (scraped concurrently
 // while cells simulate), and the resource sampler — must leave experiment
 // tables and machine-readable exports byte-for-byte identical to an
-// unobserved run, at parallel cell execution and sharded weaves. This is
-// the root gate for DESIGN.md §10's domain separation: wall-clock
+// unobserved run, at parallel cell execution. This is
+// the root gate for DESIGN.md §9's domain separation: wall-clock
 // telemetry observes the simulation and never feeds back into it.
 package tvarak_test
 
@@ -42,7 +42,7 @@ func TestLiveTelemetryReadOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := experiments.Options{
-				Scale: tc.scale, Parallel: 4, Shards: 2,
+				Scale: tc.scale, Parallel: 4,
 				Designs: []param.Design{param.Baseline, param.Tvarak},
 			}
 

@@ -2,7 +2,7 @@
 // verdict: it exits non-zero on any undetected corruption, any
 // unrecovered fault on a TVARAK design, any unit failure, any
 // kill/resume identity mismatch, or any resource-gate finding — the soak
-// acceptance bar (DESIGN.md §11). The verdict logic itself lives in
+// acceptance bar (DESIGN.md §10). The verdict logic itself lives in
 // internal/soak (soak.Check); this CLI only parses flags and renders.
 //
 // Usage:
