@@ -32,7 +32,7 @@ import (
 const asyncGoldenScale = 0.02
 
 // renderAsyncSweep renders the table plus every async figure panel — the
-// exact stdout a local tvarak-sim run of the experiment prints (minus the
+// exact stdout a local `tvarak sim` run of the experiment prints (minus the
 // wall-clock header), and what the golden pins.
 func renderAsyncSweep(t *testing.T, tab *harness.Table) string {
 	t.Helper()

@@ -24,6 +24,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== go vet (perfbench) =="
+# perfbench is its own module (the repo benchmark) and calls internal APIs
+# directly; vetting it here turns an internal API change that breaks it
+# into a CI failure instead of a benchmark failure.
+(cd perfbench && go vet .)
+
 echo "== go test =="
 go test ./...
 
@@ -42,7 +48,7 @@ echo "== go test -race (parallel harness gate) =="
 # (see race_test.go).
 # live: the ops metrics registry and run board are scraped over HTTP
 # concurrently with probe and lifecycle writes from simulating cells.
-# soak (+ its cmd/tool mains): the soak supervisor appends ledger lines
+# soak (+ the tvarak command): the soak supervisor appends ledger lines
 # from pool workers while chaos children run, and its e2e tests re-exec
 # the race-instrumented test binary as the worker.
 # fleet: the gateway's lease table and drain path are hit by concurrent
@@ -55,7 +61,7 @@ go test -race -timeout 20m ./internal/harness/ ./internal/experiments/ \
     ./internal/sim/ ./internal/core/ ./internal/fault/ ./internal/obs/ \
     ./internal/cache/ ./internal/nvm/ ./internal/xsum/ ./internal/geom/ \
     ./internal/pmem/ ./internal/live/ ./internal/soak/ ./internal/fleet/ \
-    ./internal/swred/ ./cmd/tvarak-soak/ ./tools/soakcheck/ .
+    ./internal/swred/ ./cmd/tvarak/ .
 
 echo "== coverage floor (core + sim + fault + harness + fleet) =="
 # Combined statement coverage of the central simulation packages plus the
@@ -78,15 +84,18 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# Every gate below drives the one tvarak binary, built once.
+go build -o "$tmp/tvarak" ./cmd/tvarak
+tv="$tmp/tvarak"
+
 echo "== fault-injection smoke campaign =="
 # Short fixed-seed campaign across all apps and both designs: TVARAK must
 # detect and recover everything, Baseline must miss at least one corruption
 # the oracle confirms, and a same-seed rerun must produce a byte-identical
 # report. Reproduce any failure with the same seed via
-#   go run ./cmd/tvarak-fault -campaign -seed 7 -n 56 -report -
-go build -o "$tmp/tvarak-fault" ./cmd/tvarak-fault
-"$tmp/tvarak-fault" -campaign -seed 7 -n 56 -report "$tmp/a.jsonl" >/dev/null
-"$tmp/tvarak-fault" -campaign -seed 7 -n 56 -report "$tmp/b.jsonl" >/dev/null
+#   go run ./cmd/tvarak fault -campaign -seed 7 -n 56 -report -
+"$tv" fault -campaign -seed 7 -n 56 -report "$tmp/a.jsonl" >/dev/null
+"$tv" fault -campaign -seed 7 -n 56 -report "$tmp/b.jsonl" >/dev/null
 cmp "$tmp/a.jsonl" "$tmp/b.jsonl"
 if tail -1 "$tmp/a.jsonl" | grep -q '"silentCorruptions":0'; then
     echo "smoke campaign: Baseline missed nothing — contrast gate broken" >&2
@@ -98,17 +107,16 @@ echo "== telemetry export gate =="
 # the exports must be byte-identical (determinism), schema-valid, and match
 # the committed golden (numbers regression). After an intentional behaviour
 # change, regenerate the golden with: UPDATE_GOLDEN=1 ./ci.sh
-go build -o "$tmp/tvarak-sim" ./cmd/tvarak-sim
 gate=(-exp fig8-redis -scale 0.02 -designs baseline,tvarak -sample-every 100000)
-"$tmp/tvarak-sim" "${gate[@]}" -metrics-out "$tmp/run1.json" >/dev/null
-"$tmp/tvarak-sim" "${gate[@]}" -metrics-out "$tmp/run2.json" >/dev/null
+"$tv" sim "${gate[@]}" -metrics-out "$tmp/run1.json" >/dev/null
+"$tv" sim "${gate[@]}" -metrics-out "$tmp/run2.json" >/dev/null
 cmp "$tmp/run1.json" "$tmp/run2.json"
-"$tmp/tvarak-sim" -validate "$tmp/run1.json"
+"$tv" sim -validate "$tmp/run1.json"
 if [ "${UPDATE_GOLDEN:-0}" = "1" ]; then
     cp "$tmp/run1.json" testdata/ci-golden.json
     echo "regenerated testdata/ci-golden.json"
 fi
-"$tmp/tvarak-sim" -compare "testdata/ci-golden.json,$tmp/run1.json"
+"$tv" sim -compare "testdata/ci-golden.json,$tmp/run1.json"
 
 echo "== live ops gate =="
 # A run with the ops server + resource sampler attached must serve
@@ -116,10 +124,9 @@ echo "== live ops gate =="
 # mid-run, shut down leak-free (opscheck's goroutine gate on the ledger's
 # first-vs-last sample), and leave the metrics export byte-identical to a
 # detached run — the read-only contract of DESIGN.md §9.
-go build -o "$tmp/opscheck" ./tools/opscheck
 og=(-exp fig8-stream -scale 0.05 -designs baseline,tvarak -parallel 2)
-"$tmp/tvarak-sim" "${og[@]}" -metrics-out "$tmp/ops-plain.json" >/dev/null
-"$tmp/tvarak-sim" "${og[@]}" -metrics-out "$tmp/ops-live.json" \
+"$tv" sim "${og[@]}" -metrics-out "$tmp/ops-plain.json" >/dev/null
+"$tv" sim "${og[@]}" -metrics-out "$tmp/ops-live.json" \
     -ops-addr 127.0.0.1:0 -ops-addr-file "$tmp/ops.addr" \
     -ops-ledger "$tmp/ops-ledger.jsonl" -ops-sample 100ms >/dev/null 2>&1 &
 pid=$!
@@ -140,7 +147,7 @@ grep -q '^tvarak_cell_seconds_bucket{le="+Inf"} [0-9]' "$tmp/ops-metrics.txt"
 curl -fsS "http://$addr/runs" | grep -q '"cells"'
 wait "$pid"
 cmp "$tmp/ops-plain.json" "$tmp/ops-live.json"
-"$tmp/opscheck" -ledger "$tmp/ops-ledger.jsonl" -checks goroutines >/dev/null
+"$tv" opscheck -ledger "$tmp/ops-ledger.jsonl" -checks goroutines >/dev/null
 
 echo "== bench-regression gate =="
 # Hot-path benchmark suite at fixed iteration counts, gated against the
@@ -165,8 +172,8 @@ echo "== interrupt-and-resume gate =="
 # signal lands (exit 0) is an acceptable race — the resume then just replays
 # the complete journal, which exercises the same path.
 res=(-exp fig8-stream -scale 0.05)
-"$tmp/tvarak-sim" "${res[@]}" -metrics-out "$tmp/clean.json" >"$tmp/clean.txt"
-"$tmp/tvarak-sim" "${res[@]}" -journal "$tmp/run.journal" \
+"$tv" sim "${res[@]}" -metrics-out "$tmp/clean.json" >"$tmp/clean.txt"
+"$tv" sim "${res[@]}" -journal "$tmp/run.journal" \
     -metrics-out "$tmp/part.json" >/dev/null 2>&1 &
 pid=$!
 sleep 0.5
@@ -176,7 +183,7 @@ if [ "$rc" -ne 0 ] && [ "$rc" -ne 130 ]; then
     echo "journaled run exited $rc, want 0 (finished) or 130 (interrupted)" >&2
     exit 1
 fi
-"$tmp/tvarak-sim" "${res[@]}" -resume -journal "$tmp/run.journal" \
+"$tv" sim "${res[@]}" -resume -journal "$tmp/run.journal" \
     -metrics-out "$tmp/resumed.json" >"$tmp/resumed.txt" 2>/dev/null
 cmp "$tmp/clean.json" "$tmp/resumed.json"
 # Table output matches too, modulo the wall-clock timing header lines.
@@ -192,14 +199,12 @@ echo "== soak + chaos gate =="
 # rerun must reproduce the ledger's canonical projection byte-for-byte
 # (DESIGN.md §10). Replay any flagged unit from its ledger line's seed and
 # key — see EXPERIMENTS.md "Overnight soak".
-go build -o "$tmp/tvarak-soak" ./cmd/tvarak-soak
-go build -o "$tmp/soakcheck" ./tools/soakcheck
 soak=(-seed 11 -units 16 -budget 90s -ops-sample 100ms)
-"$tmp/tvarak-soak" "${soak[@]}" -ledger "$tmp/soak-a.jsonl" -workdir "$tmp/soak-wa" >/dev/null
-"$tmp/soakcheck" -ledger "$tmp/soak-a.jsonl" -require-chaos 1
-"$tmp/tvarak-soak" "${soak[@]}" -ledger "$tmp/soak-b.jsonl" -workdir "$tmp/soak-wb" >/dev/null
-"$tmp/soakcheck" -ledger "$tmp/soak-a.jsonl" -canon >"$tmp/soak-a.canon"
-"$tmp/soakcheck" -ledger "$tmp/soak-b.jsonl" -canon >"$tmp/soak-b.canon"
+"$tv" soak "${soak[@]}" -ledger "$tmp/soak-a.jsonl" -workdir "$tmp/soak-wa" >/dev/null
+"$tv" soakcheck -ledger "$tmp/soak-a.jsonl" -require-chaos 1
+"$tv" soak "${soak[@]}" -ledger "$tmp/soak-b.jsonl" -workdir "$tmp/soak-wb" >/dev/null
+"$tv" soakcheck -ledger "$tmp/soak-a.jsonl" -canon >"$tmp/soak-a.canon"
+"$tv" soakcheck -ledger "$tmp/soak-b.jsonl" -canon >"$tmp/soak-b.canon"
 cmp "$tmp/soak-a.canon" "$tmp/soak-b.canon"
 
 echo "== fleet sweep gate =="
@@ -209,9 +214,7 @@ echo "== fleet sweep gate =="
 # summary), and the merged table and export must come out byte-identical
 # to the local run's (DESIGN.md §11). -acquire-delay holds the victim
 # between lease grant and unit start so the kill reliably orphans a lease.
-go build -o "$tmp/tvarak-gateway" ./cmd/tvarak-gateway
-go build -o "$tmp/tvarak-worker" ./cmd/tvarak-worker
-"$tmp/tvarak-gateway" "${res[@]}" \
+"$tv" gateway "${res[@]}" \
     -listen 127.0.0.1:0 -addr-file "$tmp/gw.addr" \
     -lease-ttl 2s -redeliver-backoff 100ms \
     -journal "$tmp/fleet.journal" -summary-file "$tmp/fleet-summary.json" \
@@ -226,12 +229,12 @@ if [ -z "$gwaddr" ]; then
     echo "fleet gate: gateway address never appeared in $tmp/gw.addr" >&2
     exit 1
 fi
-"$tmp/tvarak-worker" -gateway "http://$gwaddr" -name victim \
+"$tv" worker -gateway "http://$gwaddr" -name victim \
     -acquire-delay 5s >/dev/null 2>&1 &
 victim=$!
 sleep 1
 kill -9 "$victim" 2>/dev/null || true
-"$tmp/tvarak-worker" -gateway "http://$gwaddr" -name survivor -slots 2 2>/dev/null
+"$tv" worker -gateway "http://$gwaddr" -name survivor -slots 2 2>/dev/null
 wait "$gwpid"
 grep -Eq '"redelivered": *[1-9]' "$tmp/fleet-summary.json" || {
     echo "fleet gate: no redelivery after SIGKILLing a worker:" >&2
@@ -247,10 +250,10 @@ echo "== vilamb fleet sweep gate =="
 # the same kill-a-worker fleet: the async axes must survive the JobSpec
 # round-trip and lease redelivery, and the merged table, both derived
 # figure panels, and the export must come out byte-identical to a local
-# tvarak-sim run of the same grid.
+# tvarak sim run of the same grid.
 async=(-exp ext-async-mini -scale 0.02)
-"$tmp/tvarak-sim" "${async[@]}" -metrics-out "$tmp/async-clean.json" >"$tmp/async-clean.txt"
-"$tmp/tvarak-gateway" "${async[@]}" \
+"$tv" sim "${async[@]}" -metrics-out "$tmp/async-clean.json" >"$tmp/async-clean.txt"
+"$tv" gateway "${async[@]}" \
     -listen 127.0.0.1:0 -addr-file "$tmp/agw.addr" \
     -lease-ttl 2s -redeliver-backoff 100ms \
     -journal "$tmp/async-fleet.journal" -summary-file "$tmp/async-summary.json" \
@@ -265,12 +268,12 @@ if [ -z "$gwaddr" ]; then
     echo "vilamb fleet gate: gateway address never appeared in $tmp/agw.addr" >&2
     exit 1
 fi
-"$tmp/tvarak-worker" -gateway "http://$gwaddr" -name victim \
+"$tv" worker -gateway "http://$gwaddr" -name victim \
     -acquire-delay 5s >/dev/null 2>&1 &
 victim=$!
 sleep 1
 kill -9 "$victim" 2>/dev/null || true
-"$tmp/tvarak-worker" -gateway "http://$gwaddr" -name survivor -slots 2 2>/dev/null
+"$tv" worker -gateway "http://$gwaddr" -name survivor -slots 2 2>/dev/null
 wait "$gwpid"
 grep -Eq '"redelivered": *[1-9]' "$tmp/async-summary.json" || {
     echo "vilamb fleet gate: no redelivery after SIGKILLing a worker:" >&2

@@ -1,7 +1,7 @@
 // Telemetry: run one workload with the full observability layer attached —
 // the epoch sampler (a per-run time series of the paper's metrics), the
 // JSONL event tracer (structured fills/writebacks/diff-stash/corruption
-// events), and the versioned machine-readable export that `tvarak-sim
+// events), and the versioned machine-readable export that `tvarak sim
 // -metrics-out` writes for regression comparison.
 //
 // Telemetry is read-only: the printed aggregate statistics are
@@ -25,7 +25,7 @@ func main() {
 	wcfg.Ops = 4000
 	w := redispm.New(wcfg)
 
-	// Trace into memory here; tvarak-sim -trace streams to a file instead.
+	// Trace into memory here; `tvarak sim -trace` streams to a file instead.
 	var trace bytes.Buffer
 	tr := tvarak.NewJSONLTracer(&trace, 0)
 
@@ -53,7 +53,7 @@ func main() {
 			d.DiffStashes, d.DiffEvictions)
 	}
 
-	// A few raw trace events, as tvarak-sim -trace would write them.
+	// A few raw trace events, as `tvarak sim -trace` would write them.
 	fmt.Printf("\ntraced %d event(s); first lines of the JSONL stream:\n", tr.Written())
 	sc := bufio.NewScanner(bytes.NewReader(trace.Bytes()))
 	for i := 0; i < 3 && sc.Scan(); i++ {

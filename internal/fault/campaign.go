@@ -109,7 +109,7 @@ func (opt Options) normalized() (apps []string, designs []param.Design, total in
 // Scope identifies the campaign's shape for journal binding and the
 // fleet's gateway/worker handshake: seed, total injections, app list, and
 // — only when non-default, so historical scopes stay byte-identical — the
-// design list and async configuration. A local tvarak-fault journal and a
+// design list and async configuration. A local `tvarak fault` journal and a
 // gateway journal use the same string, so they are interchangeable.
 func (opt Options) Scope() string {
 	s := fmt.Sprintf("fault-campaign|seed=%d|n=%d|apps=%s",

@@ -43,26 +43,15 @@ type Plan interface {
 // two builds surfaces as a scope or fingerprint mismatch, never as a
 // silently-wrong merged table.
 func BuildPlan(spec JobSpec) (Plan, error) {
-	async, err := asyncCfg(spec)
-	if err != nil {
-		return nil, err
-	}
 	switch spec.Kind {
 	case "sweep":
-		designs, err := parseDesigns(spec.Designs)
+		o, err := spec.ExperimentOptions()
 		if err != nil {
 			return nil, err
 		}
 		exp, err := experiments.Lookup(spec.Experiment)
 		if err != nil {
 			return nil, err
-		}
-		o := experiments.Options{
-			Scale:       spec.Scale,
-			FullScale:   spec.FullScale,
-			Designs:     designs,
-			SampleEvery: spec.SampleEvery,
-			Async:       async,
 		}
 		cells := exp.Cells(o)
 		if len(cells) == 0 {
@@ -75,51 +64,47 @@ func BuildPlan(spec JobSpec) (Plan, error) {
 		p.Title = exp.Title
 		return p, nil
 	case "campaign":
-		designs, err := parseDesigns(spec.Designs)
+		opt, err := spec.CampaignOptions()
 		if err != nil {
 			return nil, err
 		}
-		opt := fault.Options{Seed: spec.Seed, N: spec.N, Apps: spec.Apps,
-			Designs: designs, Async: async}
 		return NewCampaignPlan(opt)
 	default:
 		return nil, fmt.Errorf("fleet: unknown job kind %q (want sweep or campaign)", spec.Kind)
 	}
 }
 
-// asyncCfg assembles the spec's async (Vilamb-family) configuration,
-// rejecting unknown granularity strings before any unit is enumerated.
-func asyncCfg(spec JobSpec) (param.AsyncConfig, error) {
-	g, err := param.ParseDirtyGran(spec.DirtyGran)
-	if err != nil {
-		return param.AsyncConfig{}, fmt.Errorf("fleet: job spec: %w", err)
-	}
-	a := param.AsyncConfig{EpochCyc: spec.EpochCyc, DirtyGran: g, Incremental: spec.Incremental}
-	if spec.Battery {
-		a = param.BatteryPreset(spec.EpochCyc)
-		a.Incremental = spec.Incremental
-	}
-	return a, nil
+// ExperimentOptions derives the experiments.Options that shape a sweep
+// spec's cells. BuildPlan and the local sweep CLI both start from it, so a
+// fleet run and a local run of one spec enumerate the same cells.
+func (spec JobSpec) ExperimentOptions() (experiments.Options, error) {
+	designs, async, err := spec.shape()
+	return experiments.Options{
+		Scale:       spec.Scale,
+		FullScale:   spec.FullScale,
+		Designs:     designs,
+		SampleEvery: spec.SampleEvery,
+		Async:       async,
+	}, err
 }
 
-// parseDesigns maps design names (Design.String() values, as JobSpec
-// carries them) back to designs.
-func parseDesigns(names []string) ([]param.Design, error) {
-	var out []param.Design
-	for _, name := range names {
-		found := false
-		for _, d := range param.AllDesigns() {
-			if strings.EqualFold(name, d.String()) {
-				out = append(out, d)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("fleet: unknown design %q in job spec", name)
-		}
+// CampaignOptions derives the fault.Options that shape a campaign spec's
+// units, for BuildPlan and the local campaign CLI alike.
+func (spec JobSpec) CampaignOptions() (fault.Options, error) {
+	designs, async, err := spec.shape()
+	return fault.Options{Seed: spec.Seed, N: spec.N, Apps: spec.Apps,
+		Designs: designs, Async: async}, err
+}
+
+// shape resolves the spec's design names and async fields, rejecting
+// unknown ones before any unit is enumerated.
+func (spec JobSpec) shape() ([]param.Design, param.AsyncConfig, error) {
+	designs, err := param.ParseDesigns(strings.Join(spec.Designs, ","))
+	if err != nil {
+		return nil, param.AsyncConfig{}, err
 	}
-	return out, nil
+	async, err := param.ParseAsync(spec.EpochCyc, spec.DirtyGran, spec.Battery, spec.Incremental)
+	return designs, async, err
 }
 
 // SweepPlan distributes harness cells: unit i is cells[i], its payload is

@@ -32,7 +32,7 @@ type OpsCheck struct {
 	MinSamples int
 }
 
-// DefaultOpsCheck returns the thresholds used by tools/opscheck unless
+// DefaultOpsCheck returns the thresholds used by `tvarak opscheck` unless
 // overridden by flags.
 func DefaultOpsCheck() OpsCheck {
 	return OpsCheck{
@@ -146,7 +146,7 @@ func CheckNames() []string { return []string{"heap", "goroutines", "drift"} }
 // WithChecks returns a copy of c with every check NOT named disabled (its
 // threshold pushed out of reach, so Analyze stays a single pass and check
 // selection stays declarative). An empty selection keeps every check. This
-// is the selection logic tools/opscheck and the soak gates share; an
+// is the selection logic `tvarak opscheck` and the soak gates share; an
 // unknown name is an error, matching the CLI's strictness.
 func (c OpsCheck) WithChecks(names ...string) (OpsCheck, error) {
 	if len(names) == 0 {
@@ -175,7 +175,7 @@ func (c OpsCheck) WithChecks(names ...string) (OpsCheck, error) {
 }
 
 // AnalyzeLedgerFile reads the resource ledger at path and runs every
-// enabled check over it: the one code path behind both tools/opscheck and
+// enabled check over it: the one code path behind both `tvarak opscheck` and
 // the soak harness's periodic resource gates. The parsed samples are
 // returned alongside the findings so callers can render summaries without
 // a second read.

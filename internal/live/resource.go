@@ -15,7 +15,7 @@ import (
 // ResourceSample is one line of the ops ledger: a wall-clock snapshot of
 // process resources plus cumulative simulation progress. Unlike the
 // deterministic metric exports, the ledger is explicitly wall-clock-domain —
-// timestamps and rates vary run to run, which is the point: tools/opscheck
+// timestamps and rates vary run to run, which is the point: `tvarak opscheck`
 // reads a ledger to flag heap growth, goroutine leaks, and throughput
 // drift, exactly the gates the soak roadmap item needs.
 type ResourceSample struct {

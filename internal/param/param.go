@@ -56,6 +56,43 @@ func (d Design) String() string {
 	return fmt.Sprintf("Design(%d)", int(d))
 }
 
+// ParseDesign resolves one design name as every CLI flag, job spec and
+// worker argument spells it: a flag alias (baseline, tvarak, txb-object,
+// txb-page, vilamb) or a String() label, in any case, surrounding spaces
+// ignored.
+func ParseDesign(name string) (Design, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "baseline":
+		return Baseline, nil
+	case "tvarak":
+		return Tvarak, nil
+	case "txb-object", "txb-object-csums":
+		return TxBObjectCsums, nil
+	case "txb-page", "txb-page-csums":
+		return TxBPageCsums, nil
+	case "vilamb":
+		return Vilamb, nil
+	}
+	return 0, fmt.Errorf("param: unknown design %q", name)
+}
+
+// ParseDesigns parses a comma-separated design list. Empty items are
+// skipped, so an empty list parses to nil: the caller's default designs.
+func ParseDesigns(list string) ([]Design, error) {
+	var out []Design
+	for _, tok := range strings.Split(list, ",") {
+		if strings.TrimSpace(tok) == "" {
+			continue
+		}
+		d, err := ParseDesign(tok)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, d)
+	}
+	return out, nil
+}
+
 // Designs lists the four designs the paper evaluates, in its order.
 func Designs() []Design {
 	return []Design{Baseline, Tvarak, TxBObjectCsums, TxBPageCsums}
@@ -177,6 +214,22 @@ func (a AsyncConfig) Label() string {
 // epoch: line-granular tracking plus staged intent CRCs.
 func BatteryPreset(epochCyc uint64) AsyncConfig {
 	return AsyncConfig{EpochCyc: epochCyc, DirtyGran: GranLine, Battery: true}
+}
+
+// ParseAsync assembles an AsyncConfig from its flag form (-epoch,
+// -dirty-gran, -battery, -incremental; the same four fields a job spec
+// carries). The battery preset overrides the granularity with line.
+func ParseAsync(epochCyc uint64, dirtyGran string, battery, incremental bool) (AsyncConfig, error) {
+	g, err := ParseDirtyGran(dirtyGran)
+	if err != nil {
+		return AsyncConfig{}, err
+	}
+	a := AsyncConfig{EpochCyc: epochCyc, DirtyGran: g, Incremental: incremental}
+	if battery {
+		a = BatteryPreset(epochCyc)
+		a.Incremental = incremental
+	}
+	return a, nil
 }
 
 // ParseAsyncLabel inverts Label: "ep<cycles>/<gran>[+inc][+bat]" back into

@@ -1,6 +1,10 @@
 package param
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func TestDefaultMatchesTableIII(t *testing.T) {
 	c := Default(Tvarak)
@@ -152,5 +156,65 @@ func TestNVMTechPresets(t *testing.T) {
 	}
 	if bb.Mem.ReadCyc >= opt.Mem.ReadCyc {
 		t.Error("battery-backed DRAM should be faster than Optane-like NVM")
+	}
+}
+
+// TestParseDesignAliases pins every design spelling any CLI or wire format
+// has accepted: flag aliases and String() labels, in any case, with
+// surrounding spaces.
+func TestParseDesignAliases(t *testing.T) {
+	want := map[string]Design{
+		"baseline": Baseline, "tvarak": Tvarak, "vilamb": Vilamb,
+		"txb-object": TxBObjectCsums, "txb-object-csums": TxBObjectCsums,
+		"txb-page": TxBPageCsums, "txb-page-csums": TxBPageCsums,
+	}
+	for _, d := range AllDesigns() {
+		want[d.String()] = d
+	}
+	for name, d := range want {
+		for _, spelling := range []string{name, strings.ToUpper(name), " " + strings.ToUpper(name[:1]) + name[1:] + "\t"} {
+			if got, err := ParseDesign(spelling); err != nil || got != d {
+				t.Errorf("ParseDesign(%q) = %v, %v; want %v", spelling, got, err, d)
+			}
+		}
+	}
+	for _, bad := range []string{"", "txb", "tvarak2", "Design(9)"} {
+		if _, err := ParseDesign(bad); err == nil {
+			t.Errorf("ParseDesign(%q) accepted an unknown design", bad)
+		}
+	}
+	if _, err := ParseDesigns("tvarak,nope"); err == nil {
+		t.Error("ParseDesigns accepted an unknown design in a list")
+	}
+	// An empty list leaves the caller's default in place.
+	for _, empty := range []string{"", " ", ",,"} {
+		if ds, err := ParseDesigns(empty); err != nil || ds != nil {
+			t.Errorf("ParseDesigns(%q) = %v, %v; want nil, nil", empty, ds, err)
+		}
+	}
+	ds, err := ParseDesigns(" txb-page , Vilamb,TxB-Object-Csums")
+	if err != nil || !reflect.DeepEqual(ds, []Design{TxBPageCsums, Vilamb, TxBObjectCsums}) {
+		t.Errorf("ParseDesigns list = %v, %v", ds, err)
+	}
+}
+
+func TestParseAsync(t *testing.T) {
+	for _, c := range []struct {
+		epoch              uint64
+		gran               string
+		battery, increment bool
+		want               AsyncConfig
+	}{
+		{0, "", false, false, AsyncConfig{}},
+		{4096, "range", false, true, AsyncConfig{EpochCyc: 4096, DirtyGran: GranRange, Incremental: true}},
+		// The battery preset overrides the granularity and keeps -incremental.
+		{4096, "page", true, true, AsyncConfig{EpochCyc: 4096, DirtyGran: GranLine, Battery: true, Incremental: true}},
+	} {
+		if got, err := ParseAsync(c.epoch, c.gran, c.battery, c.increment); err != nil || got != c.want {
+			t.Errorf("ParseAsync(%d, %q, %t, %t) = %+v, %v; want %+v", c.epoch, c.gran, c.battery, c.increment, got, err, c.want)
+		}
+	}
+	if _, err := ParseAsync(0, "block", false, false); err == nil {
+		t.Error("ParseAsync accepted an unknown granularity")
 	}
 }

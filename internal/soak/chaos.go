@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -49,32 +51,30 @@ func EncodeSamplerArgs(opts SamplerOptions) (designs, async string) {
 	return designs, async
 }
 
-// ParseSamplerArgs inverts EncodeSamplerArgs on the worker side.
-func ParseSamplerArgs(designs, async string) (SamplerOptions, error) {
-	var opts SamplerOptions
-	if designs != "-" && designs != "" {
-		for _, name := range strings.Split(designs, ",") {
-			found := false
-			for _, d := range param.AllDesigns() {
-				if strings.EqualFold(name, d.String()) {
-					opts.Designs = append(opts.Designs, d)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return opts, fmt.Errorf("soak: unknown design %q in worker args", name)
-			}
-		}
+// RunWorkerArgs is RunWorker driven by the positionals spawnWorker
+// appends to WorkerCmd: master index journal out resume designs async, the
+// last two as EncodeSamplerArgs writes them.
+func RunWorkerArgs(out io.Writer, args []string) error {
+	if len(args) != 7 {
+		return fmt.Errorf("soak: chaos worker wants 7 args (master index journal out resume designs async), got %d", len(args))
 	}
-	if async != "-" && async != "" {
-		a, err := param.ParseAsyncLabel(async)
-		if err != nil {
-			return opts, err
-		}
+	master, err1 := strconv.ParseInt(args[0], 10, 64)
+	index, err2 := strconv.Atoi(args[1])
+	resume, err3 := strconv.ParseBool(args[4])
+	var opts SamplerOptions
+	var err4, err5 error
+	if args[5] != "-" {
+		opts.Designs, err4 = param.ParseDesigns(args[5])
+	}
+	if args[6] != "-" {
+		var a param.AsyncConfig
+		a, err5 = param.ParseAsyncLabel(args[6])
 		opts.Async = &a
 	}
-	return opts, nil
+	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+		return fmt.Errorf("soak: bad chaos worker args %q: %w", args, err)
+	}
+	return RunWorker(out, master, index, args[2], args[3], resume, opts)
 }
 
 // RunWorker is the chaos worker child's entry point: derive soak unit
@@ -82,8 +82,9 @@ func ParseSamplerArgs(designs, async string) (SamplerOptions, error) {
 // atomically write the unit report's JSON encoding to outPath. With
 // resume=true an existing journal — possibly SIGKILL-torn — is reopened
 // and a completed unit is restored instead of re-run; otherwise the
-// journal is started fresh. cmd/tvarak-soak dispatches here in
-// -chaos-worker mode, and the test suite re-execs its own binary into it.
+// journal is started fresh. The worker child reaches it through
+// RunWorkerArgs (`tvarak soak -chaos-worker`, or the test suite's re-exec'd
+// binary).
 // opts must match the supervisor's (they arrive through the argv protocol
 // via EncodeSamplerArgs), or the derived unit — and its fingerprint —
 // would diverge.

@@ -5,7 +5,7 @@
 // deterministically-sampled stream of (app × design × fault-plan) units,
 // periodic SIGKILL/resume cycles through a worker child process with
 // byte-identity checks, and a cumulative fsync'd JSONL ledger that
-// tools/soakcheck turns into a verdict. A regression that only manifests
+// `tvarak soakcheck` turns into a verdict. A regression that only manifests
 // after hours — a leaked goroutine, heap creep, a rare fault-schedule
 // interleaving, a resume path that diverges — is exactly what this loop
 // exists to catch early (see DESIGN.md §10).
@@ -63,7 +63,7 @@ var (
 // SamplerOptions pins axes of the soak stream. The zero value is the full
 // default stream. Both the supervisor and the chaos worker child must
 // derive units from the same options — they travel across the re-exec
-// boundary via EncodeSamplerArgs/ParseSamplerArgs.
+// boundary via EncodeSamplerArgs/RunWorkerArgs.
 type SamplerOptions struct {
 	// Designs restricts the design rotation to this set (preserving the
 	// default rotation's relative weights). Empty = all designs.

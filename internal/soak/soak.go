@@ -99,6 +99,15 @@ func (cfg Config) samplerOpts() SamplerOptions {
 	return SamplerOptions{Designs: cfg.Designs, Async: cfg.Async}
 }
 
+// Scope identifies the unit stream a soak journal checkpoints: the master
+// seed plus the sampler options every unit derives from. Resuming a
+// journal under a different stream fails naming both scopes, instead of
+// silently re-running every unit.
+func (cfg Config) Scope() string {
+	designs, async := EncodeSamplerArgs(cfg.samplerOpts())
+	return fmt.Sprintf("soak|seed=%d|designs=%s|async=%s", cfg.Seed, designs, async)
+}
+
 // Run executes the soak loop: sample units from the seeded stream, run
 // them journaled on a worker pool with the fault oracle armed, cycle every
 // ChaosEvery-th unit through SIGKILL/resume byte-identity, gate resources

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -32,19 +31,7 @@ func TestSoakWorkerHelper(t *testing.T) {
 			break
 		}
 	}
-	if len(args) != 7 {
-		fmt.Fprintf(os.Stderr, "helper: want 7 args (master index journal out resume designs async), got %d\n", len(args))
-		os.Exit(2)
-	}
-	master, err1 := strconv.ParseInt(args[0], 10, 64)
-	index, err2 := strconv.Atoi(args[1])
-	resume, err3 := strconv.ParseBool(args[4])
-	opts, err4 := ParseSamplerArgs(args[5], args[6])
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-		fmt.Fprintln(os.Stderr, "helper: bad args:", args)
-		os.Exit(2)
-	}
-	if err := RunWorker(os.Stdout, master, index, args[2], args[3], resume, opts); err != nil {
+	if err := RunWorkerArgs(os.Stdout, args); err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
 	}

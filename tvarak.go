@@ -14,8 +14,8 @@
 //		dm.Store(c, 0, []byte("hello"))
 //	}})
 //
-// See examples/ for runnable programs and cmd/tvarak-sim for the
-// experiment CLI.
+// See examples/ for runnable programs and cmd/tvarak (`tvarak sim`) for
+// the experiment CLI.
 package tvarak
 
 import (
@@ -24,7 +24,6 @@ import (
 	"tvarak/internal/core"
 	"tvarak/internal/daxfs"
 	"tvarak/internal/experiments"
-	"tvarak/internal/fault"
 	"tvarak/internal/harness"
 	"tvarak/internal/live"
 	"tvarak/internal/obs"
@@ -140,14 +139,6 @@ const (
 	GranRange = param.GranRange
 )
 
-// ParseDirtyGran parses a granularity name ("", "page", "line", "range").
-func ParseDirtyGran(s string) (DirtyGran, error) { return param.ParseDirtyGran(s) }
-
-// BatteryBackedPreset is the battery-backed-DRAM async preset: line-granular
-// dirty tracking with staged intent checksums verified at each
-// reconciliation pass, closing the vulnerability window entirely.
-func BatteryBackedPreset(epochCyc uint64) AsyncConfig { return param.BatteryPreset(epochCyc) }
-
 // AsyncSweepFigures derives the async sweep's figure panels
 // (overhead-vs-epoch, vulnerability-window-vs-epoch) from a finished
 // result table; nil when the table has no async variants.
@@ -260,70 +251,29 @@ func NewRunJournal(path string) (*RunJournal, error) { return harness.NewJournal
 // lines (a crash mid-write) are skipped, never fatal.
 func ResumeRunJournal(path string) (*RunJournal, error) { return harness.OpenJournal(path) }
 
-// NewScopedRunJournal is NewRunJournal with the run's scope — the
-// experiment/campaign id plus every option that shapes its cells — stamped
-// into the journal's header record.
-func NewScopedRunJournal(path, scope string) (*RunJournal, error) {
-	return harness.NewJournalScope(path, scope)
-}
-
-// ResumeScopedRunJournal is ResumeRunJournal plus the scope handshake: a
-// journal written under different options is rejected with an error naming
-// both scopes, instead of the resume silently restoring nothing because
-// every fingerprint misses. Legacy header-less journals and empty scopes
-// are tolerated.
-func ResumeScopedRunJournal(path, scope string) (*RunJournal, error) {
-	return harness.OpenJournalScope(path, scope)
-}
-
 // Experiments lists the registry reproducing every table and figure.
 func Experiments() []Experiment { return experiments.Experiments() }
 
 // LookupExperiment finds an experiment by id (e.g. "fig8-redis").
 func LookupExperiment(id string) (Experiment, error) { return experiments.Lookup(id) }
 
-// Correctness tooling: the shadow redundancy oracle and the deterministic
-// fault-injection campaign engine (see DESIGN.md §Correctness tooling).
-type (
-	// Oracle is the shadow redundancy oracle — a reference model of the
-	// NVM's intended content cross-checked against the machine.
-	Oracle = oracle.Oracle
-	// FaultCampaignOptions configures a fault-injection campaign.
-	FaultCampaignOptions = fault.Options
-	// FaultCampaignReport is a campaign's complete outcome.
-	FaultCampaignReport = fault.Report
-	// FaultUnitReport is one (app, design) campaign unit's outcome.
-	FaultUnitReport = fault.UnitReport
-)
+// Oracle is the shadow redundancy oracle — a reference model of the NVM's
+// intended content cross-checked against the machine (see DESIGN.md
+// §Correctness tooling; the fault campaign is `tvarak fault -campaign`).
+type Oracle = oracle.Oracle
 
 // AttachOracle snapshots the machine's NVM and installs the shadow
 // oracle's observers; attach after workload setup, before the runs whose
 // redundancy behaviour should be checked.
 func AttachOracle(m *Machine) *Oracle { return oracle.Attach(m.sys.Eng, m.sys.FS) }
 
-// RunFaultCampaign executes a deterministic fault-injection campaign:
-// the same seeded injection schedules against every design, judged by
-// the shadow oracle. The error summarizes failed units; the report holds
-// per-injection detail and serializes deterministically with
-// WriteFaultReport.
-func RunFaultCampaign(opt FaultCampaignOptions) (*FaultCampaignReport, error) {
-	return fault.Run(opt)
-}
-
-// WriteFaultReport streams a campaign report as deterministic JSONL
-// (same seed, byte-identical output).
-func WriteFaultReport(w io.Writer, r *FaultCampaignReport) error { return fault.WriteJSONL(w, r) }
-
-// FaultCampaignApps lists the applications a campaign covers.
-func FaultCampaignApps() []string { return fault.AppNames() }
-
 // Live wall-clock telemetry: the metrics registry + run board behind the
-// CLIs' -ops-addr endpoint and resource ledger (see DESIGN.md §Live
+// CLI's -ops-addr endpoint and resource ledger (see DESIGN.md §Live
 // telemetry). Strictly read-only — attaching it changes no simulated
 // result.
 type (
 	// LiveTelemetry bundles the live metric set and the per-cell run
-	// board; hand it to experiments.Options.Live / FaultCampaignOptions.Live.
+	// board; hand it to ExperimentOptions.Live.
 	LiveTelemetry = live.Telemetry
 	// OpsConfig selects the ops HTTP server address and resource-ledger
 	// path for StartLiveOps.
