@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ci.sh — tier-1 verification plus the parallel-harness race gate.
 #
-#   ./ci.sh         # format check, vet, build, tests, race tests
+#   ./ci.sh         # format check, vet, build, tests, race tests, CLI and
+#                   # benchmark-digest gates
 #
 # The race run covers internal/harness and internal/experiments: the
 # parallel experiment runner executes cells on concurrent workers, and the
@@ -164,6 +165,27 @@ if [ "${UPDATE_BENCH:-0}" = "1" ]; then
 fi
 "$tmp/benchdiff" -out "$tmp/bench.json" -baseline BENCH_6.json \
     -ns-tol "${BENCH_NS_TOL:-0}"
+
+echo "== perfbench digest gate =="
+# One short pass of each repo benchmark workload: every run must judge its
+# outputs correct and match the committed reference digests, so a change
+# that moves a simulated number fails here rather than in the benchmark
+# A/B. Reproduce one workload with
+#   bash perfbench/run.sh --workload dax-miss --seed 1 --seconds 1 --trace 0
+for w in dax-miss pmem-tx fault-campaign; do
+    bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 \
+        >"$tmp/perfbench-$w.txt"
+    if ! tail -1 "$tmp/perfbench-$w.txt" | grep -q '"correct":true'; then
+        echo "perfbench $w: outputs not correct:" >&2
+        tail -1 "$tmp/perfbench-$w.txt" >&2
+        exit 1
+    fi
+    if ! grep -qx '# digest reference: match' "$tmp/perfbench-$w.txt"; then
+        echo "perfbench $w: digest does not match the reference:" >&2
+        grep '^# digest' "$tmp/perfbench-$w.txt" >&2
+        exit 1
+    fi
+done
 
 echo "== interrupt-and-resume gate =="
 # A journaled run killed mid-flight must resume to output byte-identical to

@@ -5,6 +5,7 @@
 package fio
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -116,15 +117,46 @@ func prefill(s *harness.System, m *daxfs.DaxMap) error {
 	geo := s.FS.Geometry()
 	ps := uint64(geo.PageSize)
 	page := make([]byte, ps)
-	rng := rand.New(rand.NewSource(7))
+	bs := byteStream{src: rand.NewSource(7)}
 	for off := uint64(0); off < m.Size(); off += ps {
-		rng.Read(page)
+		bs.Read(page)
 		s.Eng.NVM.WriteRaw(m.Addr(off), page)
 	}
 	// Reconcile every redundancy structure (page checksums, parity, and
 	// the DAX-CL-checksum region when present) with the new content.
 	s.FS.ReconcileMapping(m)
 	return nil
+}
+
+// byteStream yields the same bytes as rand.New(src).Read: each Int63
+// supplies seven bytes, low byte first, and bytes left over at the end of
+// one Read start the next. Whole seven-byte groups are written with one
+// eight-byte store, whose extra byte the next group overwrites.
+type byteStream struct {
+	src rand.Source
+	val int64 // undelivered bytes of the last Int63, low byte next
+	pos int8  // how many bytes of val remain
+}
+
+// Read fills p.
+func (s *byteStream) Read(p []byte) {
+	n := 0
+	for ; n < len(p) && s.pos > 0; n++ {
+		p[n] = byte(s.val)
+		s.val >>= 8
+		s.pos--
+	}
+	for ; len(p)-n >= 8; n += 7 {
+		binary.LittleEndian.PutUint64(p[n:], uint64(s.src.Int63()))
+	}
+	for ; n < len(p); n++ {
+		if s.pos == 0 {
+			s.val, s.pos = s.src.Int63(), 7
+		}
+		p[n] = byte(s.val)
+		s.val >>= 8
+		s.pos--
+	}
 }
 
 // Workers implements harness.Workload.

@@ -224,9 +224,7 @@ func (fs *FS) WriteAt(f *File, off uint64, data []byte) error {
 	}
 	firstPage := off / ps
 	lastPage := (off + uint64(len(data)) - 1) / ps
-	for p := firstPage; p <= lastPage; p++ {
-		fs.updatePageCsum(f, p)
-	}
+	fs.updatePageCsums(f, firstPage, lastPage+1)
 	fs.rebuildParityForRange(f, firstPage, lastPage)
 	return nil
 }
@@ -237,16 +235,48 @@ func (fs *FS) readPageCsum(dataIndex uint64) uint32 {
 	return xsum.Get(ent[:], 0)
 }
 
-func (fs *FS) writePageCsum(dataIndex uint64, c uint32) {
-	var ent [xsum.Size]byte
-	xsum.Put(ent[:], 0, c)
-	fs.eng.NVM.WriteRaw(fs.pageCsumAddr(dataIndex), ent[:])
+// csumRun writes 4 B checksum entries to consecutive slots of one
+// data-page region, batched into page-sized WriteRaw runs (a region's data
+// pages are not physically contiguous). Call flush after the last put.
+type csumRun struct {
+	fs   *FS
+	di   uint64 // region's first data-page index
+	slot uint64 // slot of buf[0]
+	buf  []byte // pending entries, at most one page
 }
 
-func (fs *FS) updatePageCsum(f *File, page uint64) {
-	buf := make([]byte, fs.geo.PageSize)
-	fs.eng.NVM.ReadRaw(fs.addr(f, page*uint64(fs.geo.PageSize)), buf)
-	fs.writePageCsum(f.StartDI+page, xsum.Checksum(buf))
+func (fs *FS) newCsumRun(di, slot uint64) *csumRun {
+	return &csumRun{fs: fs, di: di, slot: slot, buf: make([]byte, 0, fs.geo.PageSize)}
+}
+
+// put queues c for the next slot, flushing at the end of a region page.
+func (r *csumRun) put(c uint32) {
+	r.buf = r.buf[:len(r.buf)+xsum.Size]
+	xsum.Put(r.buf, len(r.buf)/xsum.Size-1, c)
+	if (r.slot*xsum.Size+uint64(len(r.buf)))%uint64(r.fs.geo.PageSize) == 0 {
+		r.flush()
+	}
+}
+
+func (r *csumRun) flush() {
+	if len(r.buf) != 0 {
+		r.fs.eng.NVM.WriteRaw(r.fs.geo.DataIndexAddr(r.di, r.slot*xsum.Size), r.buf)
+		r.slot += uint64(len(r.buf)) / xsum.Size
+		r.buf = r.buf[:0]
+	}
+}
+
+// updatePageCsums recomputes the per-page checksums of file pages
+// [first, end) from current media content, writing the table in runs.
+func (fs *FS) updatePageCsums(f *File, first, end uint64) {
+	ps := uint64(fs.geo.PageSize)
+	page := make([]byte, ps)
+	run := fs.newCsumRun(fs.pageCsumDI, f.StartDI+first)
+	for p := first; p < end; p++ {
+		fs.eng.NVM.ReadRaw(fs.addr(f, p*ps), page)
+		run.put(xsum.Checksum(page))
+	}
+	run.flush()
 }
 
 // rebuildParityForRange recomputes the parity pages of every stripe that

@@ -52,50 +52,67 @@ func (fs *FS) MMap(name string) (*DaxMap, error) {
 // initCLChecksums fills the mapping's DAX-CL-checksum region from current
 // file content (raw setup work, untimed).
 func (fs *FS) initCLChecksums(f *File) {
-	geo := fs.geo
-	ls := geo.LineSize
-	lpp := geo.LinesPerPage()
-	page := make([]byte, geo.PageSize)
-	csums := make([]byte, f.Pages*uint64(lpp)*xsum.Size)
+	ps := uint64(fs.geo.PageSize)
+	page := make([]byte, ps)
+	run := fs.newCsumRun(f.csumDI, 0)
 	for p := uint64(0); p < f.Pages; p++ {
-		fs.eng.NVM.ReadRaw(fs.addr(f, p*uint64(geo.PageSize)), page)
-		for l := 0; l < lpp; l++ {
-			idx := int(p)*lpp + l
-			xsum.Put(csums, idx, xsum.Checksum(page[l*ls:(l+1)*ls]))
-		}
+		fs.eng.NVM.ReadRaw(fs.addr(f, p*ps), page)
+		fs.putLineCsums(run, page)
 	}
-	for off := 0; off < len(csums); off += geo.PageSize {
-		end := min(off+geo.PageSize, len(csums))
-		fs.eng.NVM.WriteRaw(geo.DataIndexAddr(f.csumDI, uint64(off)), csums[off:end])
-	}
+	run.flush()
 }
 
-// ReinitCLChecksums rebuilds a mapping's DAX-CL-checksum region from
-// current media content. Setup code that bulk-loads a mapped file with raw
-// writes calls it before measurement; it is a no-op when the mapping has no
-// checksum region (non-Tvarak designs or page-granular mode).
-func (fs *FS) ReinitCLChecksums(m *DaxMap) {
-	if m.f.csumPages == 0 {
-		return
+// putLineCsums queues the DAX-CL-checksum of every line of page.
+func (fs *FS) putLineCsums(run *csumRun, page []byte) {
+	for l := 0; l < len(page); l += fs.geo.LineSize {
+		run.put(xsum.Checksum(page[l : l+fs.geo.LineSize]))
 	}
-	fs.initCLChecksums(m.f)
 }
 
 // ReconcileMapping rebuilds every redundancy structure of a mapped file
 // from current media content: per-page system-checksums, cross-DIMM parity
 // for all of its stripes, and the DAX-CL-checksum region when present.
 // Setup code calls it after bulk-loading file content with raw writes.
+//
+// It makes one pass, stripe by stripe: each data page is read once and
+// feeds its page checksum, the stripe's parity and its line checksums.
+// Files are stripe-aligned (allocPages rounds to whole stripes), so a
+// stripe's data pages are exactly the file's pages [k·(D−1), (k+1)·(D−1)).
 func (fs *FS) ReconcileMapping(m *DaxMap) {
 	f := m.f
-	stripes := map[uint64]bool{}
+	geo := fs.geo
+	q := fs.quantum
+	if f.StartDI%q != 0 || f.Pages%q != 0 {
+		panic(fmt.Sprintf("daxfs: %q data pages [%d,%d) not stripe-aligned", f.Name, f.StartDI, f.StartDI+f.Pages))
+	}
+	ps := uint64(geo.PageSize)
+	page := make([]byte, ps)
+	parity := make([]byte, ps)
+	pageCsums := fs.newCsumRun(fs.pageCsumDI, f.StartDI)
+	var lineCsums *csumRun
+	if f.csumPages != 0 {
+		lineCsums = fs.newCsumRun(f.csumDI, 0)
+	}
 	for p := uint64(0); p < f.Pages; p++ {
-		fs.updatePageCsum(f, p)
-		stripes[fs.geo.StripeOf(fs.geo.PageOfDataIndex(f.StartDI+p))] = true
+		fs.eng.NVM.ReadRaw(fs.addr(f, p*ps), page)
+		pageCsums.put(xsum.Checksum(page))
+		if lineCsums != nil {
+			fs.putLineCsums(lineCsums, page)
+		}
+		if p%q == 0 {
+			copy(parity, page)
+		} else {
+			xsum.XORInto(parity, page)
+		}
+		if p%q == q-1 {
+			s := geo.StripeOf(geo.PageOfDataIndex(f.StartDI + p))
+			fs.eng.NVM.WriteRaw(geo.PageBase(geo.ParityPage(s)), parity)
+		}
 	}
-	for s := range stripes {
-		fs.RebuildStripeParity(s)
+	pageCsums.flush()
+	if lineCsums != nil {
+		lineCsums.flush()
 	}
-	fs.ReinitCLChecksums(m)
 }
 
 // MUnmap tears down a mapping: page-granular system-checksums are
@@ -106,9 +123,7 @@ func (fs *FS) MUnmap(m *DaxMap) error {
 	if !f.mapped {
 		return fmt.Errorf("daxfs: %q not mapped", f.Name)
 	}
-	for p := uint64(0); p < f.Pages; p++ {
-		fs.updatePageCsum(f, p)
-	}
+	fs.updatePageCsums(f, 0, f.Pages)
 	if fs.ctrl != nil {
 		fs.ctrl.UnregisterMapping(f.Name)
 	}
@@ -192,7 +207,7 @@ func (fs *FS) Scrub() []Corruption {
 	var bad []Corruption
 	geo := fs.geo
 	page := make([]byte, geo.PageSize)
-	for _, f := range fs.files {
+	for _, f := range fs.Files() {
 		for p := uint64(0); p < f.Pages; p++ {
 			fs.eng.NVM.ReadRaw(fs.addr(f, p*uint64(geo.PageSize)), page)
 			if !f.mapped || fs.ctrl == nil || !fs.eng.Cfg.Tvarak.Features.CacheLineChecksums {

@@ -29,9 +29,7 @@ func (fs *FS) RecoverDIMM(d int) error {
 	buf := make([]byte, geo.PageSize)
 	for s := uint64(0); s < geo.Stripes(); s++ {
 		victim := s*uint64(geo.DIMMs) + uint64(d)
-		for i := range rec {
-			rec[i] = 0
-		}
+		clear(rec)
 		for k := 0; k < geo.DIMMs; k++ {
 			p := s*uint64(geo.DIMMs) + uint64(k)
 			if p == victim {
@@ -45,10 +43,8 @@ func (fs *FS) RecoverDIMM(d int) error {
 	// Rebuild derivable metadata from the recovered content: per-page
 	// checksums for unmapped files, DAX-CL-checksum regions for mapped
 	// ones.
-	for _, f := range fs.files {
-		for p := uint64(0); p < f.Pages; p++ {
-			fs.updatePageCsum(f, p)
-		}
+	for _, f := range fs.Files() {
+		fs.updatePageCsums(f, 0, f.Pages)
 		if f.mapped && f.csumPages != 0 {
 			fs.initCLChecksums(f)
 		}
@@ -98,7 +94,7 @@ func (sc *Scrubber) Pass(c *sim.Core) {
 	geo := fs.geo
 	page := make([]byte, geo.PageSize)
 	var ent [xsum.Size]byte
-	for _, f := range fs.files {
+	for _, f := range fs.Files() {
 		for p := uint64(0); p < f.Pages; p++ {
 			base := fs.addr(f, p*uint64(geo.PageSize))
 			for off := 0; off < geo.PageSize; off += geo.LineSize {

@@ -74,3 +74,29 @@ func BenchmarkReadRawPage(b *testing.B) {
 		m.ReadRaw(base+uint64(i&15)*4096, buf)
 	}
 }
+
+func BenchmarkWriteRawPage(b *testing.B) {
+	m, g := mkBenchNVM(b)
+	data := make([]byte, 4096)
+	base := g.NVMBase()
+	b.ReportAllocs()
+	b.SetBytes(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.WriteRaw(base+uint64(i&15)*4096, data)
+	}
+}
+
+func BenchmarkEqualRawPage(b *testing.B) {
+	m, g := mkBenchNVM(b)
+	want := make([]byte, 4096)
+	base := g.NVMBase()
+	b.ReportAllocs()
+	b.SetBytes(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.EqualRaw(base+uint64(i&15)*4096, want) {
+			b.Fatal("fresh media is not zero")
+		}
+	}
+}

@@ -12,6 +12,7 @@
 package nvm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -314,37 +315,66 @@ func (m *Memory) addWriteStats(class Class) {
 	}
 }
 
+// unitRun maps addr to its DIMM and byte offset plus the end of the
+// interleave unit holding it (page for NVM, line for DRAM): data[off:end]
+// is the longest run starting at addr that is contiguous on one DIMM.
+func (m *Memory) unitRun(addr uint64) (d *dimm, off, end uint64) {
+	d, off = m.locate(addr)
+	if m.unitPow2 {
+		return d, off, off&^(m.unit-1) + m.unit
+	}
+	return d, off, off - off%m.unit + m.unit
+}
+
+// checkRaw panics unless [addr, addr+n) lies inside the pool.
+func (m *Memory) checkRaw(addr uint64, n int) {
+	if n > 0 && (addr < m.base || addr-m.base > m.size || uint64(n) > m.size-(addr-m.base)) {
+		panic(fmt.Sprintf("nvm: raw range [%#x,%#x) outside pool [%#x,%#x)",
+			addr, addr+uint64(n), m.base, m.base+m.size))
+	}
+}
+
 // ReadRaw copies current media content without timing, stats, bug or ECC
 // effects. Setup, verification and recovery-checking code uses it.
 func (m *Memory) ReadRaw(addr uint64, buf []byte) {
+	m.checkRaw(addr, len(buf))
 	for n := 0; n < len(buf); {
-		la := m.geo.LineAddr(addr + uint64(n))
-		d, off := m.locate(la)
-		lo := (addr + uint64(n)) - la
-		c := copy(buf[n:], d.data[off+lo:off+uint64(m.lineSize)])
-		n += c
+		d, off, end := m.unitRun(addr + uint64(n))
+		n += copy(buf[n:], d.data[off:end])
 	}
+}
+
+// EqualRaw reports whether media at addr holds exactly want, comparing in
+// place (untimed, like ReadRaw) without copying media out.
+func (m *Memory) EqualRaw(addr uint64, want []byte) bool {
+	m.checkRaw(addr, len(want))
+	for n := 0; n < len(want); {
+		d, off, end := m.unitRun(addr + uint64(n))
+		c := min(end-off, uint64(len(want)-n))
+		if !bytes.Equal(d.data[off:off+c], want[n:n+int(c)]) {
+			return false
+		}
+		n += int(c)
+	}
+	return true
 }
 
 // WriteRaw writes media content directly (with consistent ECC), without
 // timing, stats or bugs. Used for setup and by recovery to repair media.
 func (m *Memory) WriteRaw(addr uint64, data []byte) {
+	m.checkRaw(addr, len(data))
 	if m.obsW != nil {
 		m.obsW(addr, data, false, Data)
 	}
-	line := make([]byte, m.lineSize)
+	ls := uint64(m.lineSize)
 	for n := 0; n < len(data); {
-		la := m.geo.LineAddr(addr + uint64(n))
-		d, off := m.locate(la)
-		lo := (addr + uint64(n)) - la
-		c := copy(line, data[n:])
-		if uint64(c) > uint64(m.lineSize)-lo {
-			c = int(uint64(m.lineSize) - lo)
+		d, off, end := m.unitRun(addr + uint64(n))
+		c := uint64(copy(d.data[off:end], data[n:]))
+		// Units are whole lines, so the touched lines lie inside the run.
+		for lo := off - off%ls; lo < off+c; lo += ls {
+			d.ecc[m.eccIndex(lo)] = xsum.Checksum(d.data[lo : lo+ls])
 		}
-		copy(d.data[off+lo:], data[n:n+c])
-		full := d.data[off : off+uint64(m.lineSize)]
-		d.ecc[m.eccIndex(off)] = xsum.Checksum(full)
-		n += c
+		n += int(c)
 	}
 }
 

@@ -192,14 +192,12 @@ func (o *Oracle) checkTouched() {
 	if len(o.touched) == 0 {
 		return
 	}
-	buf := make([]byte, o.geo.LineSize)
 	var bad []uint64
 	for la := range o.touched {
 		if _, ex := o.excluded[la]; ex {
 			continue
 		}
-		o.eng.NVM.ReadRaw(la, buf)
-		if !bytes.Equal(buf, o.lineShadow(la)) {
+		if !o.eng.NVM.EqualRaw(la, o.lineShadow(la)) {
 			bad = append(bad, la)
 		}
 	}

@@ -54,23 +54,27 @@ func (o *Oracle) verifyFileData(f *daxfs.File, includeExcluded bool) []Divergenc
 	return out
 }
 
-// verifyRange compares [addr, addr+n) page by page, localizing mismatches
-// to lines. Parity pages inside the range are skipped: parity is checked
+// verifyRange compares [addr, addr+n) page by page in place, localizing
+// mismatches to lines. Parity pages inside the range are skipped: parity is checked
 // semantically by VerifyRedundancy (it is maintained only for stripes of
 // mapped data).
 func (o *Oracle) verifyRange(addr, n uint64, includeExcluded bool) []Divergence {
 	var out []Divergence
 	ps := uint64(o.geo.PageSize)
 	ls := uint64(o.geo.LineSize)
-	buf := make([]byte, ps)
+	var buf []byte
 	for pa := addr; pa < addr+n; pa += ps {
 		if o.geo.IsParityPage(o.geo.PageOf(pa)) {
 			continue
 		}
-		o.eng.NVM.ReadRaw(pa, buf)
-		if bytes.Equal(buf, o.shadow[pa-o.base:pa-o.base+ps]) {
+		if o.eng.NVM.EqualRaw(pa, o.shadow[pa-o.base:pa-o.base+ps]) {
 			continue
 		}
+		// Copy the page out only to localize the mismatch to lines.
+		if buf == nil {
+			buf = make([]byte, ps)
+		}
+		o.eng.NVM.ReadRaw(pa, buf)
 		for la := pa; la < pa+ps; la += ls {
 			if !includeExcluded && o.Excluded(la) {
 				continue
