@@ -50,8 +50,9 @@ echo "== go test -race (parallel harness gate) =="
 # live: the ops metrics registry and run board are scraped over HTTP
 # concurrently with probe and lifecycle writes from simulating cells.
 # soak (+ the tvarak command): the soak supervisor appends ledger lines
-# from pool workers while chaos children run, and its e2e tests re-exec
-# the race-instrumented test binary as the worker.
+# from pool workers while each chaos cycle serves an in-process fleet
+# gateway to re-exec'd workers, SIGKILLing one; its e2e tests re-exec the
+# race-instrumented test binary as those fleet workers.
 # fleet: the gateway's lease table and drain path are hit by concurrent
 # worker goroutines (and its tests run whole in-process fleets through a
 # fault-injecting transport).
@@ -213,18 +214,20 @@ diff <(grep -v '^# ' "$tmp/clean.txt") <(grep -v '^# ' "$tmp/resumed.txt")
 
 echo "== soak + chaos gate =="
 # A bounded fixed-seed soak inside a hard 90s budget: 16 sampled units
-# across every design with the oracle armed, chaos every 4th unit (the
-# supervisor SIGKILLs its own worker child mid-unit and resumes it from
-# the journal, asserting the resumed report is byte-identical), resource
-# gates every 8 units, one fsync'd ledger line per unit. soakcheck must
-# come back clean with at least one kill/resume cycle, and a same-seed
-# rerun must reproduce the ledger's canonical projection byte-for-byte
-# (DESIGN.md §10). Replay any flagged unit from its ledger line's seed and
+# across every design with the oracle armed, a chaos cycle every 4th unit
+# (the supervisor serves the unit on an in-process fleet gateway,
+# SIGKILLs the `tvarak worker` holding its lease, and requires the
+# survivor worker's redelivered result to be byte-identical to its own
+# in-process run), resource gates every 8 units, one fsync'd ledger line
+# per unit. soakcheck must come back clean with at least one chaos cycle
+# (-require-chaos counts cycles whether or not the kill landed), and a
+# same-seed rerun must reproduce the ledger's canonical projection
+# byte-for-byte (DESIGN.md §10). Replay any flagged unit from its ledger line's seed and
 # key — see EXPERIMENTS.md "Overnight soak".
 soak=(-seed 11 -units 16 -budget 90s -ops-sample 100ms)
-"$tv" soak "${soak[@]}" -ledger "$tmp/soak-a.jsonl" -workdir "$tmp/soak-wa" >/dev/null
+"$tv" soak "${soak[@]}" -ledger "$tmp/soak-a.jsonl" >/dev/null
 "$tv" soakcheck -ledger "$tmp/soak-a.jsonl" -require-chaos 1
-"$tv" soak "${soak[@]}" -ledger "$tmp/soak-b.jsonl" -workdir "$tmp/soak-wb" >/dev/null
+"$tv" soak "${soak[@]}" -ledger "$tmp/soak-b.jsonl" >/dev/null
 "$tv" soakcheck -ledger "$tmp/soak-a.jsonl" -canon >"$tmp/soak-a.canon"
 "$tv" soakcheck -ledger "$tmp/soak-b.jsonl" -canon >"$tmp/soak-b.canon"
 cmp "$tmp/soak-a.canon" "$tmp/soak-b.canon"

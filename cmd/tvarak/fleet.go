@@ -11,8 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -96,23 +94,17 @@ func (c *gatewayCmd) run() {
 		fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", c.listen)
+	srv, err := fleet.Serve(g, c.listen)
 	if err != nil {
 		fatal(err)
 	}
 	if c.addrFile != "" {
-		if err := os.WriteFile(c.addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
+		if err := os.WriteFile(c.addrFile, []byte(srv.Addr()), 0o644); err != nil {
 			fatal(err)
 		}
 	}
-	srv := &http.Server{Handler: g.Handler()}
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			warnf("control plane: %v", err)
-		}
-	}()
-	warnf("serving %q (%d units, %d already done) on http://%s",
-		plan.Scope(), plan.Units(), g.Status(false).Done, ln.Addr())
+	warnf("serving %q (%d units, %d already done) on %s",
+		plan.Scope(), plan.Units(), g.Status(false).Done, srv.URL)
 
 	// SIGINT/SIGTERM stop the job: accepted results are already durable in
 	// the journal, so -resume picks up exactly where dispatch stopped.
@@ -125,7 +117,9 @@ func (c *gatewayCmd) run() {
 		// socket goes away, so they exit clean instead of "unreachable".
 		g.Drain(ctx)
 	}
-	srv.Close()
+	if err := srv.Close(); err != nil {
+		warnf("control plane: %v", err)
+	}
 
 	if c.summaryFile != "" {
 		data, err := json.MarshalIndent(g.Status(true), "", "  ")

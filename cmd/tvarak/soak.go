@@ -2,11 +2,13 @@ package main
 
 // tvarak soak is the continuous soak + chaos harness (DESIGN.md §10): a
 // deterministic stream of oracle-judged fault units from one master seed,
-// with every -chaos-every'th unit SIGKILLed mid-run in a re-exec'd worker
-// child (`tvarak soak -chaos-worker`) and resumed byte-identically, and
-// resource gates every -gate-every units. Each unit appends one fsync'd
-// ledger line; `tvarak soakcheck` turns the ledger into a verdict, and its
-// -canon projection of two same-seed runs must match byte for byte.
+// resource gates every -gate-every units, and every -chaos-every'th unit
+// also served by an in-process fleet gateway to a re-exec'd `tvarak
+// worker` that is SIGKILLed after its lease grant; a second worker takes
+// the redelivered unit, and its result must be byte-identical to the
+// in-process run. Each unit appends one fsync'd ledger line; `tvarak
+// soakcheck` turns the ledger into a verdict, and its -canon projection
+// of two same-seed runs must match byte for byte.
 
 import (
 	"context"
@@ -15,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"time"
@@ -33,8 +36,8 @@ type soakCmd struct {
 	seed                                   int64
 	units, chaosEvery, gateEvery, parallel int
 	duration, budget, killAfter            time.Duration
-	pinAsync, failFast, chaosWorker        bool
-	ledger, workdir                        string
+	pinAsync, failFast                     bool
+	ledger                                 string
 }
 
 func newSoak() *soakCmd {
@@ -44,16 +47,14 @@ func newSoak() *soakCmd {
 	fs.IntVar(&c.units, "units", 0, "stop after this many units (0 = unbounded; needs -duration or -budget)")
 	fs.DurationVar(&c.duration, "duration", 0, "stop cleanly after this wall-clock time (0 = none)")
 	fs.DurationVar(&c.budget, "budget", 0, "CI mode: hard wall-clock cap plus bounded defaults (-units 16 unless set)")
-	fs.IntVar(&c.chaosEvery, "chaos-every", 8, "SIGKILL/resume every Nth unit through a worker child (0 disables)")
-	fs.DurationVar(&c.killAfter, "kill-after", 30*time.Millisecond, "delay between the worker's start marker and its SIGKILL")
+	fs.IntVar(&c.chaosEvery, "chaos-every", 8, "run a chaos cycle (SIGKILL a tvarak worker, redeliver its unit) every Nth unit (0 disables)")
+	fs.DurationVar(&c.killAfter, "kill-after", 30*time.Millisecond, "delay between the victim worker's lease grant and its SIGKILL")
 	fs.IntVar(&c.gateEvery, "gate-every", 16, "run the resource gates every N units (0 disables)")
 	fs.IntVar(&c.parallel, "parallel", 0, "concurrent units (0 = one per CPU)")
 	c.job.addShape(fs)
 	fs.BoolVar(&c.pinAsync, "pin-async", false, "pin every vilamb unit to the -epoch/-dirty-gran/-battery/-incremental config instead of rotating the async axes")
 	fs.StringVar(&c.ledger, "ledger", "soak.jsonl", "append one fsync'd JSONL line per unit to this soak ledger")
-	fs.StringVar(&c.workdir, "workdir", "", "scratch dir for chaos journals/reports and the default -ops-ledger (default: a temp dir, removed on success)")
 	fs.BoolVar(&c.failFast, "fail-fast", true, "stop at the first problem (disable for evidence-gathering runs)")
-	fs.BoolVar(&c.chaosWorker, "chaos-worker", false, "internal: run as a chaos worker child (args: master index journal out resume designs async)")
 	c.ops = addOpsFlags(fs)
 	c.journal = addJournalFlags(fs)
 	return c
@@ -106,14 +107,6 @@ func (c *soakCmd) config() (soak.Config, error) {
 }
 
 func (c *soakCmd) run() {
-	if c.chaosWorker {
-		// The supervisor re-execs this binary with the chaos-protocol
-		// positionals and watches stdout for the soak markers.
-		if err := soak.RunWorkerArgs(os.Stdout, c.fs.Args()); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	cfg, err := c.config()
 	if err != nil {
 		fatal(err)
@@ -127,21 +120,18 @@ func (c *soakCmd) run() {
 		defer cfg.Journal.Close()
 	}
 
-	dir := c.workdir
+	// The resource gates read the run's own ops ledger; without
+	// -ops-ledger it goes to a temp dir, kept on failure for inspection.
 	cleanup := func() {}
-	if dir == "" {
-		if dir, err = os.MkdirTemp("", "tvarak-soak-*"); err != nil {
+	if c.ops.ledger == "" {
+		dir, err := os.MkdirTemp("", "tvarak-soak-*")
+		if err != nil {
 			fatal(err)
 		}
-		// Kept on failure so the chaos journals/reports stay inspectable.
 		cleanup = func() { os.RemoveAll(dir) }
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
+		c.ops.ledger = filepath.Join(dir, "ops.jsonl")
 	}
-	if c.ops.ledger == "" {
-		c.ops.ledger = dir + "/ops.jsonl"
-	}
-	cfg.WorkDir, cfg.OpsLedgerPath = dir, c.ops.ledger
+	cfg.OpsLedgerPath = c.ops.ledger
 	cfg.Live = live.NewTelemetry()
 	ops := c.ops.start(cfg.Live)
 	ctx, stopSignals := signalContext()
@@ -151,7 +141,7 @@ func (c *soakCmd) run() {
 	if err != nil {
 		exe = os.Args[0]
 	}
-	cfg.WorkerCmd = []string{exe, "soak", "-chaos-worker"}
+	cfg.WorkerCmd = []string{exe, "worker"}
 
 	fmt.Printf("soak: seed=%d units=%s duration=%s chaos-every=%d gate-every=%d\n",
 		cfg.Seed, bound(cfg.Units > 0, strconv.Itoa(cfg.Units)), bound(cfg.Duration > 0, cfg.Duration.String()),
@@ -168,7 +158,7 @@ func (c *soakCmd) run() {
 	}
 	if runErr != nil {
 		warnf("%v", runErr)
-		warnf("chaos artifacts kept in %s", dir)
+		warnf("ops ledger kept in %s", c.ops.ledger)
 		if errors.Is(runErr, context.Canceled) {
 			os.Exit(130)
 		}
@@ -214,7 +204,7 @@ func printSoakProgress(l soak.LedgerLine) {
 
 // tvarak soakcheck turns a soak ledger into a verdict: it exits 1 on any
 // undetected corruption, any unrecovered fault on a TVARAK design, any
-// unit failure, any kill/resume identity mismatch, or any resource-gate
+// unit failure, any chaos identity mismatch, or any resource-gate
 // finding (the soak acceptance bar, DESIGN.md §10; the logic is
 // soak.Check). -canon prints each line's deterministic projection
 // (wall-clock fields zeroed): two same-seed bounded runs must produce
@@ -230,7 +220,7 @@ func newSoakcheck() *soakcheckCmd {
 	c := &soakcheckCmd{base: newBase("soakcheck")}
 	c.fs.StringVar(&c.ledger, "ledger", "", "soak ledger (JSONL) to analyze")
 	c.fs.BoolVar(&c.canon, "canon", false, "print the ledger's canonical (deterministic) projection and exit")
-	c.fs.IntVar(&c.requireChaos, "require-chaos", 0, "fail unless at least this many kill/resume chaos cycles ran")
+	c.fs.IntVar(&c.requireChaos, "require-chaos", 0, "fail unless at least this many chaos cycles ran")
 	c.fs.BoolVar(&c.verbose, "v", false, "print the per-design breakdown even when clean")
 	return c
 }
@@ -265,7 +255,7 @@ func (c *soakcheckCmd) run() {
 	problems := soak.Check(lines)
 	if tally.Chaos < c.requireChaos {
 		problems = append(problems, soak.Problem{
-			Reason: fmt.Sprintf("only %d chaos kill/resume cycle(s) ran, need >= %d", tally.Chaos, c.requireChaos),
+			Reason: fmt.Sprintf("only %d chaos cycle(s) ran, need >= %d", tally.Chaos, c.requireChaos),
 		})
 	}
 	if c.verbose || len(problems) > 0 {

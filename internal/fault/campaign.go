@@ -237,6 +237,21 @@ func AssembleReport(opt Options, units []CampaignUnit, reports []*UnitReport) (*
 	return rep, nil
 }
 
+// FoldLive folds an executed (not restored) unit into lt at slot i: its
+// injection outcomes into the process-wide fault counters, and the unit
+// itself into the runner's finished or failed count, so /metrics reports
+// the work this process actually performed.
+func FoldLive(lt *live.Telemetry, i int, u *UnitReport) {
+	lt.Fault.Armed.AddAt(i, uint64(u.Armed))
+	lt.Fault.Detected.AddAt(i, u.Detections)
+	lt.Fault.Recovered.AddAt(i, u.Recoveries)
+	if u.Failure != "" {
+		lt.Runner.Failed.AddAt(i, 1)
+	} else {
+		lt.Runner.Finished.AddAt(i, 1)
+	}
+}
+
 // Run executes the campaign: one unit per (app, design), the same
 // per-app plan hitting every design. Units are independent simulations,
 // so they run across a worker pool; unit order in the report is fixed
@@ -290,17 +305,10 @@ func Run(opt Options) (*Report, error) {
 				}
 			}
 			if opt.Live != nil {
-				// Executed units (not restored ones) fold their injection
-				// outcomes into the process-wide fault counters: /metrics
-				// reports the work this process actually performed.
-				opt.Live.Fault.Armed.AddAt(i, uint64(u.Armed))
-				opt.Live.Fault.Detected.AddAt(i, u.Detections)
-				opt.Live.Fault.Recovered.AddAt(i, u.Recoveries)
+				FoldLive(opt.Live, i, u)
 				if u.Failure != "" {
-					opt.Live.Runner.Failed.AddAt(i, 1)
 					opt.Live.Board.CellFailed(i, units[i].Label, u.Failure, false)
 				} else {
-					opt.Live.Runner.Finished.AddAt(i, 1)
 					opt.Live.Board.CellDone(i, 0, 0)
 				}
 			}

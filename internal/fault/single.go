@@ -10,8 +10,8 @@ import (
 // UnitParams identifies one self-contained campaign unit: a single
 // (app, design) fault-injection run whose plan is derived from Seed and N
 // exactly like a campaign's. It is the re-entry API the soak harness uses
-// to replay any unit in isolation — in-process for a reference run, or in
-// a separate worker process for a kill/resume cycle — with a report
+// to replay any unit in isolation — in-process for a reference run, or on
+// a fleet worker as the single unit of a one-unit campaign — with a report
 // byte-identical to the same unit anywhere else.
 type UnitParams struct {
 	// App is a campaign application name (see AppNames).

@@ -3,8 +3,10 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -411,6 +413,44 @@ func (g *Gateway) Drain(ctx context.Context) {
 		case <-tick.C:
 		}
 	}
+}
+
+// Server is a gateway's control plane served over HTTP on its own TCP
+// listener: the `tvarak gateway` subcommand and the soak harness's chaos
+// cycles both host their gateways through it.
+type Server struct {
+	// URL is the base URL workers dial, e.g. "http://127.0.0.1:7609".
+	URL    string
+	ln     net.Listener
+	srv    *http.Server
+	served chan error
+}
+
+// Serve listens on addr (":0" picks a free port) and serves g's control
+// plane until Close.
+func Serve(g *Gateway, addr string) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{URL: "http://" + ln.Addr().String(), ln: ln,
+		srv: &http.Server{Handler: g.Handler()}, served: make(chan error, 1)}
+	go func() { s.served <- s.srv.Serve(ln) }()
+	return s, nil
+}
+
+// Addr is the resolved listen address, e.g. "127.0.0.1:7609".
+func (s *Server) Addr() string { return s.ln.Addr().String() }
+
+// Close stops serving, dropping open connections, and returns the error
+// that ended serving early or, failing that, closing's own. Callers that
+// want laggard workers to learn the job is over call Gateway.Drain first.
+func (s *Server) Close() error {
+	err := s.srv.Close()
+	if serr := <-s.served; !errors.Is(serr, http.ErrServerClosed) {
+		return serr
+	}
+	return err
 }
 
 // writeJSON writes v as the response with the given status.

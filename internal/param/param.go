@@ -10,7 +10,6 @@ package param
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -228,45 +227,6 @@ func ParseAsync(epochCyc uint64, dirtyGran string, battery, incremental bool) (A
 	if battery {
 		a = BatteryPreset(epochCyc)
 		a.Incremental = incremental
-	}
-	return a, nil
-}
-
-// ParseAsyncLabel inverts Label: "ep<cycles>/<gran>[+inc][+bat]" back into
-// an AsyncConfig (Scrub is not part of the label and parses to false). The
-// empty string parses to the zero config, so a label is a complete wire
-// encoding for CLI and worker-protocol plumbing.
-func ParseAsyncLabel(s string) (AsyncConfig, error) {
-	var a AsyncConfig
-	if s == "" {
-		return a, nil
-	}
-	rest, ok := strings.CutPrefix(s, "ep")
-	if !ok {
-		return a, fmt.Errorf("param: bad async label %q (want ep<cycles>/<gran>[+inc][+bat])", s)
-	}
-	epoch, gran, ok := strings.Cut(rest, "/")
-	if !ok {
-		return a, fmt.Errorf("param: bad async label %q (missing granularity)", s)
-	}
-	cyc, err := strconv.ParseUint(epoch, 10, 64)
-	if err != nil {
-		return a, fmt.Errorf("param: bad async label %q: %v", s, err)
-	}
-	a.EpochCyc = cyc
-	for {
-		if g, ok := strings.CutSuffix(gran, "+bat"); ok {
-			gran, a.Battery = g, true
-			continue
-		}
-		if g, ok := strings.CutSuffix(gran, "+inc"); ok {
-			gran, a.Incremental = g, true
-			continue
-		}
-		break
-	}
-	if a.DirtyGran, err = ParseDirtyGran(gran); err != nil {
-		return a, fmt.Errorf("param: bad async label %q: %v", s, err)
 	}
 	return a, nil
 }

@@ -1,300 +1,183 @@
 package soak
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
 	"os/exec"
-	"path/filepath"
-	"strconv"
-	"strings"
+	"sync/atomic"
 	"time"
 
 	"tvarak/internal/fault"
-	"tvarak/internal/harness"
-	"tvarak/internal/param"
+	"tvarak/internal/fleet"
 )
 
-// Worker protocol markers, one per stdout line. The supervisor arms its
-// SIGKILL only after StartMarker — killing earlier could tear process
-// setup instead of the unit itself — and learns from RestoredMarker
-// whether the resume leg actually hit the journal.
-const (
-	StartMarker    = "SOAK-WORKER-START"
-	RestoredMarker = "SOAK-WORKER-RESTORED"
-	DoneMarker     = "SOAK-WORKER-DONE"
-)
+// chaosLeaseTTL is the lease lifetime of a chaos cycle's gateway. The
+// survivor heartbeats every third of it, so it stays well above a
+// heartbeat round trip on a loaded machine. The SIGKILLed victim's lease
+// ends by expiry, redelivered to the survivor at once: the gateway's
+// redelivery backoff is left zero, and runChaos advances the gateway's
+// clock one TTL once the victim is reaped rather than idle out the TTL.
+const chaosLeaseTTL = time.Second
 
-// journalKind is the journal record kind for soak units.
-const journalKind = "soak-unit"
-
-// EncodeSamplerArgs flattens sampler options into the two worker-protocol
-// argv tokens (designs CSV, async pin label); "-" stands for "unset" so
-// the positional protocol never carries an empty token.
-func EncodeSamplerArgs(opts SamplerOptions) (designs, async string) {
-	designs, async = "-", "-"
-	if len(opts.Designs) > 0 {
-		var names []string
-		for _, d := range opts.Designs {
-			names = append(names, d.String())
-		}
-		designs = strings.Join(names, ",")
-	}
-	if opts.Async != nil {
-		async = opts.Async.Label()
-	}
-	return designs, async
-}
-
-// RunWorkerArgs is RunWorker driven by the positionals spawnWorker
-// appends to WorkerCmd: master index journal out resume designs async, the
-// last two as EncodeSamplerArgs writes them.
-func RunWorkerArgs(out io.Writer, args []string) error {
-	if len(args) != 7 {
-		return fmt.Errorf("soak: chaos worker wants 7 args (master index journal out resume designs async), got %d", len(args))
-	}
-	master, err1 := strconv.ParseInt(args[0], 10, 64)
-	index, err2 := strconv.Atoi(args[1])
-	resume, err3 := strconv.ParseBool(args[4])
-	var opts SamplerOptions
-	var err4, err5 error
-	if args[5] != "-" {
-		opts.Designs, err4 = param.ParseDesigns(args[5])
-	}
-	if args[6] != "-" {
-		var a param.AsyncConfig
-		a, err5 = param.ParseAsyncLabel(args[6])
-		opts.Async = &a
-	}
-	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
-		return fmt.Errorf("soak: bad chaos worker args %q: %w", args, err)
-	}
-	return RunWorker(out, master, index, args[2], args[3], resume, opts)
-}
-
-// RunWorker is the chaos worker child's entry point: derive soak unit
-// (master, index) under opts, run it journaled at journalPath, and
-// atomically write the unit report's JSON encoding to outPath. With
-// resume=true an existing journal — possibly SIGKILL-torn — is reopened
-// and a completed unit is restored instead of re-run; otherwise the
-// journal is started fresh. The worker child reaches it through
-// RunWorkerArgs (`tvarak soak -chaos-worker`, or the test suite's re-exec'd
-// binary).
-// opts must match the supervisor's (they arrive through the argv protocol
-// via EncodeSamplerArgs), or the derived unit — and its fingerprint —
-// would diverge.
-//
-// The protocol markers go to out (the supervisor watches the child's
-// stdout): StartMarker before any unit work so a kill can land mid-unit,
-// RestoredMarker if the journal satisfied the unit, DoneMarker only after
-// the report file is durably in place.
-func RunWorker(out io.Writer, master int64, index int, journalPath, outPath string, resume bool, opts SamplerOptions) error {
-	unit := UnitAtOpt(master, index, opts)
-	fp := unit.Fingerprint(master)
-
-	var (
-		j   *harness.Journal
-		err error
-	)
-	if resume {
-		j, err = harness.OpenJournal(journalPath)
-	} else {
-		j, err = harness.NewJournal(journalPath)
-	}
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-
-	fmt.Fprintln(out, StartMarker)
-
-	var rep fault.UnitReport
-	if j.Lookup(journalKind, fp, &rep) {
-		fmt.Fprintln(out, RestoredMarker)
-	} else {
-		r, err := fault.RunSingleUnit(context.Background(), unit.UnitParams)
-		if err != nil {
-			return fmt.Errorf("soak: worker unit %d: %w", index, err)
-		}
-		rep = *r
-		if err := j.Record(journalKind, fp, &rep); err != nil {
-			return err
-		}
-	}
-
-	data, err := json.Marshal(&rep)
-	if err != nil {
-		return fmt.Errorf("soak: worker marshalling report: %w", err)
-	}
-	if err := atomicWrite(outPath, data); err != nil {
-		return err
-	}
-	fmt.Fprintln(out, DoneMarker)
-	return nil
-}
-
-// atomicWrite lands data at path via tmp+fsync+rename, so a kill during
-// the write never leaves a half-written report for the supervisor to read.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// chaosResult is what one SIGKILL/resume cycle reports back to the soak
-// loop for the unit's ledger line.
+// chaosResult is what one chaos cycle reports back to the soak loop for
+// the unit's ledger line.
 type chaosResult struct {
-	IdentityOK bool // resumed report bytes == uninterrupted reference bytes
-	Killed     bool // the SIGKILL landed before the first leg exited
-	Resumed    bool // the second leg restored the unit from the torn journal
+	IdentityOK bool // accepted payload == in-process reference bytes, no divergence
+	Killed     bool // the SIGKILL landed before the victim exited
 }
 
-// runChaos runs one unit through the full chaos cycle: spawn a worker
-// child, SIGKILL it shortly after its start marker, re-spawn it against
-// the same (now possibly torn) journal with resume on, and require the
-// resumed report to be byte-identical to reference — the uninterrupted
-// in-process run's encoding. Whether the kill lands mid-unit or after the
-// first leg already finished, identity must hold: the journal either
-// restores the completed record or the re-run is deterministic.
+// chaosPlan is unit's one-unit fault-campaign job — the spec a fleet
+// worker rebuilds the unit from — and its plan. It checks, rather than
+// assumes, that the campaign's single unit is the soak unit itself: a
+// worker running anything else would make the identity verdict meaningless.
+func chaosPlan(unit Unit) (fleet.JobSpec, fleet.Plan, error) {
+	p := unit.UnitParams
+	spec := fleet.JobSpec{
+		Kind: "campaign", Seed: p.Seed, N: p.N,
+		Apps: []string{p.App}, Designs: []string{p.Design.String()},
+		EpochCyc: p.EpochCyc, DirtyGran: p.DirtyGran, Battery: p.Battery, Incremental: p.Incremental,
+	}
+	opt, err := spec.CampaignOptions()
+	if err != nil {
+		return spec, nil, err
+	}
+	units, err := fault.CampaignUnits(opt)
+	if err != nil {
+		return spec, nil, err
+	}
+	plan, err := fleet.BuildPlan(spec)
+	if err != nil {
+		return spec, nil, err
+	}
+	if len(units) != 1 || plan.Units() != 1 || units[0].Params != p {
+		return spec, nil, fmt.Errorf("soak: unit %d (%s) is not the single unit of campaign job %+v", unit.Index, p.Key(), spec)
+	}
+	return spec, plan, nil
+}
+
+// runChaos runs one unit through the fleet under a kill: it serves the
+// unit's one-unit campaign on an in-process gateway, re-execs a fleet
+// worker (the victim), SIGKILLs it KillAfter after the gateway grants it
+// the lease, then re-execs a survivor worker that takes the redelivered
+// unit. The accepted payload must be byte-identical to reference — the
+// uninterrupted in-process run's encoding — whichever way the race between
+// kill and completion went.
 func runChaos(ctx context.Context, cfg Config, unit Unit, reference []byte) (chaosResult, error) {
 	var res chaosResult
-	dir := cfg.WorkDir
-	journalPath := filepath.Join(dir, fmt.Sprintf("chaos-%d.journal", unit.Index))
-	outPath := filepath.Join(dir, fmt.Sprintf("chaos-%d.json", unit.Index))
-
-	// Leg 1: fresh worker, killed KillAfter after it reports started.
-	leg1, err := spawnWorker(ctx, cfg, unit, journalPath, outPath, false)
+	spec, plan, err := chaosPlan(unit)
 	if err != nil {
 		return res, err
 	}
-	select {
-	case <-leg1.started:
-	case err := <-leg1.done:
-		return res, fmt.Errorf("soak: chaos worker (unit %d) exited before start marker: %v", unit.Index, err)
-	case <-ctx.Done():
-		leg1.cmd.Process.Kill()
-		<-leg1.done
-		return res, context.Cause(ctx)
+	// The gateway's clock runs skew ahead of the wall clock. Once the
+	// victim is reaped its lease can only expire, so the skew jumps one
+	// TTL and the lease expires at once.
+	var skew atomic.Int64
+	g, err := fleet.NewGateway(fleet.GatewayConfig{
+		Plan: plan, Spec: spec, LeaseTTL: chaosLeaseTTL,
+		Now: func() time.Time { return time.Now().Add(time.Duration(skew.Load())) },
+	})
+	if err != nil {
+		return res, err
 	}
+	srv, err := fleet.Serve(g, "127.0.0.1:0")
+	if err != nil {
+		return res, err
+	}
+	defer srv.Close()
+
+	victim, err := startWorker(cfg, srv.URL)
+	if err != nil {
+		return res, err
+	}
+	defer victim.stop()
+	// Arm the kill only once the unit is leased: killing earlier would
+	// tear the worker's startup instead of the unit.
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for g.Status(false).Granted == 0 {
+		select {
+		case <-victim.done:
+			return res, victim.failure(unit, "victim exited before its lease grant")
+		case <-ctx.Done():
+			return res, context.Cause(ctx)
+		case <-tick.C:
+		}
+	}
+	sent := false
 	select {
 	case <-time.After(cfg.KillAfter):
-		if err := leg1.cmd.Process.Kill(); err == nil {
-			res.Killed = true
-		}
-		<-leg1.done
-	case err := <-leg1.done:
-		// The worker beat the kill timer; a clean exit still exercises the
-		// resume leg's restore path below.
-		if err != nil {
-			return res, fmt.Errorf("soak: chaos worker (unit %d) first leg failed: %v", unit.Index, err)
-		}
+		sent = victim.cmd.Process.Kill() == nil
+		<-victim.done
+	case <-victim.done:
 	case <-ctx.Done():
-		leg1.cmd.Process.Kill()
-		<-leg1.done
 		return res, context.Cause(ctx)
 	}
+	res.Killed = sent && !victim.cmd.ProcessState.Exited()
+	if !res.Killed && victim.err != nil {
+		return res, victim.failure(unit, "victim failed")
+	}
+	skew.Store(int64(chaosLeaseTTL))
 
-	// Leg 2: resume against the torn journal; this one must succeed.
-	leg2, err := spawnWorker(ctx, cfg, unit, journalPath, outPath, true)
+	// The listener stays up until the survivor exits: it exits cleanly
+	// only once a lease request is answered done, i.e. the job resolved.
+	survivor, err := startWorker(cfg, srv.URL)
 	if err != nil {
 		return res, err
 	}
+	defer survivor.stop()
 	select {
-	case err := <-leg2.done:
-		if err != nil {
-			return res, fmt.Errorf("soak: chaos worker (unit %d) resume leg failed: %v", unit.Index, err)
-		}
+	case <-survivor.done:
 	case <-ctx.Done():
-		leg2.cmd.Process.Kill()
-		<-leg2.done
 		return res, context.Cause(ctx)
 	}
-	res.Resumed = leg2.restored()
-
-	got, err := os.ReadFile(outPath)
-	if err != nil {
-		return res, fmt.Errorf("soak: reading chaos report: %w", err)
+	st := g.Status(false)
+	if st.Divergent > 0 {
+		// Two workers delivered different bytes for the unit: an identity
+		// verdict for the ledger, not a failure of the run.
+		return res, nil
 	}
-	res.IdentityOK = bytes.Equal(got, reference)
+	if survivor.err != nil || !st.Resolved {
+		return res, survivor.failure(unit, "survivor failed")
+	}
+	payloads, _, err := g.Wait(ctx)
+	if err != nil {
+		return res, fmt.Errorf("soak: chaos unit %d: %w", unit.Index, err)
+	}
+	res.IdentityOK = bytes.Equal(payloads[0], reference)
 	return res, nil
 }
 
-// worker is one spawned chaos worker child plus its protocol state.
+// worker is one re-exec'd fleet worker process.
 type worker struct {
-	cmd      *exec.Cmd
-	started  chan struct{} // closed when StartMarker is seen on stdout
-	done     chan error    // receives the Wait result exactly once
-	sawRest  chan struct{} // closed when RestoredMarker is seen
-	restored func() bool
+	cmd    *exec.Cmd
+	stderr bytes.Buffer
+	done   chan struct{} // closed once the process is reaped
+	err    error         // the Wait result, valid after done
 }
 
-// spawnWorker launches cfg.WorkerCmd with the positional chaos-protocol
-// arguments appended and begins scanning its stdout for markers.
-func spawnWorker(ctx context.Context, cfg Config, unit Unit, journalPath, outPath string, resume bool) (*worker, error) {
-	designs, async := EncodeSamplerArgs(cfg.samplerOpts())
-	args := append(append([]string(nil), cfg.WorkerCmd[1:]...),
-		fmt.Sprint(cfg.Seed), fmt.Sprint(unit.Index), journalPath, outPath, fmt.Sprint(resume),
-		designs, async)
-	cmd := exec.Command(cfg.WorkerCmd[0], args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
+// startWorker re-execs cfg.WorkerCmd against the gateway at url.
+func startWorker(cfg Config, url string) (*worker, error) {
+	args := append(append([]string(nil), cfg.WorkerCmd[1:]...), "-gateway", url)
+	w := &worker{cmd: exec.Command(cfg.WorkerCmd[0], args...), done: make(chan struct{})}
+	w.cmd.Stderr = &w.stderr
+	if err := w.cmd.Start(); err != nil {
 		return nil, fmt.Errorf("soak: spawning chaos worker: %w", err)
 	}
-	w := &worker{
-		cmd:     cmd,
-		started: make(chan struct{}),
-		done:    make(chan error, 1),
-		sawRest: make(chan struct{}),
-	}
-	w.restored = func() bool {
-		select {
-		case <-w.sawRest:
-			return true
-		default:
-			return false
-		}
-	}
 	go func() {
-		sc := bufio.NewScanner(stdout)
-		startSeen, restSeen := false, false
-		for sc.Scan() {
-			switch sc.Text() {
-			case StartMarker:
-				if !startSeen {
-					startSeen = true
-					close(w.started)
-				}
-			case RestoredMarker:
-				if !restSeen {
-					restSeen = true
-					close(w.sawRest)
-				}
-			}
-		}
-		w.done <- cmd.Wait()
+		w.err = w.cmd.Wait()
+		close(w.done)
 	}()
 	return w, nil
+}
+
+// stop kills the worker if it is still running and reaps it.
+func (w *worker) stop() {
+	_ = w.cmd.Process.Kill() // fails only when the worker already exited
+	<-w.done
+}
+
+// failure describes an exited worker's failure, with its stderr.
+func (w *worker) failure(unit Unit, what string) error {
+	return fmt.Errorf("soak: chaos unit %d: %s (%v): %s", unit.Index, what, w.err, bytes.TrimSpace(w.stderr.Bytes()))
 }

@@ -27,8 +27,9 @@ const LedgerVersion = 1
 //
 // Wall-clock fields (WallMS, Resumed, Killed, GateFindings) record what
 // this particular run experienced — how long the unit took, whether the
-// chaos worker was actually torn down mid-run, what the resource gates
-// said — and are excluded from the canonical projection.
+// chaos victim was actually torn down mid-run, whether the supervisor
+// journal restored the unit, what the resource gates said — and are
+// excluded from the canonical projection.
 type LedgerLine struct {
 	V     int    `json:"v"`
 	Seed  int64  `json:"seed"` // master soak seed
@@ -50,16 +51,18 @@ type LedgerLine struct {
 	AppPanics   int    `json:"appPanics,omitempty"`
 	Failure     string `json:"failure,omitempty"`
 
-	// Chaos marks the units the supervisor ran through a SIGKILL/resume
-	// worker cycle; IdentityOK is that cycle's byte-identity verdict
-	// (resumed report vs uninterrupted in-process reference).
+	// Chaos marks the units the supervisor also ran through a chaos cycle
+	// (a SIGKILLed fleet worker, the unit redelivered to a survivor);
+	// IdentityOK is that cycle's byte-identity verdict (accepted fleet
+	// payload vs uninterrupted in-process reference, false also on a
+	// gateway divergence verdict).
 	Chaos      bool  `json:"chaos,omitempty"`
 	IdentityOK *bool `json:"identityOK,omitempty"`
 
 	// Wall-clock domain.
 	WallMS  int64 `json:"wallMS"`
-	Resumed bool  `json:"resumed,omitempty"` // restored from a journal instead of simulated
-	Killed  bool  `json:"killed,omitempty"`  // SIGKILL landed before the worker exited on its own
+	Resumed bool  `json:"resumed,omitempty"` // restored from the supervisor journal instead of simulated
+	Killed  bool  `json:"killed,omitempty"`  // SIGKILL landed before the chaos victim exited
 	// GateFindings is nil on lines where no resource-gate check ran, an
 	// empty list for a clean check, and the finding strings otherwise —
 	// deliberately not omitempty so a clean check stays distinguishable
@@ -187,7 +190,7 @@ func (p Problem) String() string {
 
 // Check applies the soak acceptance bar to a ledger: any undetected
 // corruption anywhere, any unrecovered fault on a TVARAK design, any unit
-// failure, any kill/resume identity mismatch, and any resource-gate
+// failure, any chaos identity mismatch, and any resource-gate
 // finding is a problem. A clean long ledger is the long-horizon
 // confidence statement the ROADMAP's soak item asks for.
 func Check(lines []LedgerLine) []Problem {
@@ -206,7 +209,7 @@ func Check(lines []LedgerLine) []Problem {
 			add(l, "%d unrecovered fault(s) on a TVARAK design", l.Unrecovered)
 		}
 		if l.IdentityOK != nil && !*l.IdentityOK {
-			add(l, "resumed report not byte-identical to the uninterrupted reference")
+			add(l, "chaos result not byte-identical to the uninterrupted reference")
 		}
 		for _, g := range l.GateFindings {
 			add(l, "resource gate: %s", g)

@@ -3,12 +3,12 @@
 // crash-safe journal (internal/harness), and the live resource gates
 // (internal/live) — into one continuous chaos-testing loop: an endless,
 // deterministically-sampled stream of (app × design × fault-plan) units,
-// periodic SIGKILL/resume cycles through a worker child process with
-// byte-identity checks, and a cumulative fsync'd JSONL ledger that
-// `tvarak soakcheck` turns into a verdict. A regression that only manifests
-// after hours — a leaked goroutine, heap creep, a rare fault-schedule
-// interleaving, a resume path that diverges — is exactly what this loop
-// exists to catch early (see DESIGN.md §10).
+// periodic chaos cycles that SIGKILL a fleet worker mid-unit and require
+// the redelivered result to be byte-identical, and a cumulative fsync'd
+// JSONL ledger that `tvarak soakcheck` turns into a verdict. A regression
+// that only manifests after hours — a leaked goroutine, heap creep, a rare
+// fault-schedule interleaving, a resume path that diverges — is exactly
+// what this loop exists to catch early (see DESIGN.md §10).
 package soak
 
 import (
@@ -21,8 +21,9 @@ import (
 // Unit is one sampled soak unit: the stream index plus the fully-derived
 // fault-campaign unit parameters. Units are a pure function of
 // (master seed, index) — no global RNG, no clock — so any unit can be
-// replayed in isolation (in-process, in a worker child, or by hand from a
-// ledger line) and the stream enumerates identically at any parallelism.
+// replayed in isolation (in-process, on a fleet worker as the single unit
+// of a one-unit campaign, or by hand from a ledger line) and the stream
+// enumerates identically at any parallelism.
 type Unit struct {
 	Index int
 	fault.UnitParams
@@ -61,9 +62,7 @@ var (
 )
 
 // SamplerOptions pins axes of the soak stream. The zero value is the full
-// default stream. Both the supervisor and the chaos worker child must
-// derive units from the same options — they travel across the re-exec
-// boundary via EncodeSamplerArgs/RunWorkerArgs.
+// default stream.
 type SamplerOptions struct {
 	// Designs restricts the design rotation to this set (preserving the
 	// default rotation's relative weights). Empty = all designs.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"tvarak/internal/fault"
@@ -13,6 +14,9 @@ import (
 	"tvarak/internal/live"
 	"tvarak/internal/param"
 )
+
+// journalKind is the journal record kind for soak units.
+const journalKind = "soak-unit"
 
 // Config shapes one soak run.
 type Config struct {
@@ -32,19 +36,20 @@ type Config struct {
 	// Async, when non-nil, pins every Vilamb unit's async configuration
 	// instead of rotating it through the sampler's epoch/granularity axes.
 	Async *param.AsyncConfig
-	// ChaosEvery routes every ChaosEvery-th unit through a SIGKILL/resume
-	// worker cycle with a byte-identity check (0 disables chaos).
+	// ChaosEvery routes every ChaosEvery-th unit through a chaos cycle:
+	// the unit also runs on a fleet worker that is SIGKILLed, and the
+	// survivor's redelivered result must be byte-identical (0 disables).
 	ChaosEvery int
-	// KillAfter is how long after the worker's start marker the supervisor
-	// waits before SIGKILLing it. Zero selects 30ms — inside a typical
-	// unit's runtime, so the kill usually lands mid-simulation.
+	// KillAfter is how long after the gateway grants the victim its lease
+	// the supervisor waits before SIGKILLing it. Zero selects 30ms —
+	// inside a typical unit's runtime, so the kill usually lands
+	// mid-simulation.
 	KillAfter time.Duration
-	// WorkerCmd is the argv prefix re-exec'd as the chaos worker child
-	// (the soak binary itself with its worker flag; tests pass their own
-	// test binary). Required when ChaosEvery > 0, as is WorkDir.
+	// WorkerCmd is the argv prefix of a fleet worker, re-exec'd with
+	// "-gateway <url>" appended as each chaos cycle's victim and survivor
+	// (the CLI passes its own binary's `worker` subcommand; tests pass a
+	// re-exec'd test binary). Required when ChaosEvery > 0.
 	WorkerCmd []string
-	// WorkDir holds per-unit chaos scratch files (journals, reports).
-	WorkDir string
 	// GateEvery runs the live resource gates once every GateEvery finished
 	// units (0 disables). Gate verdicts attach to the ledger line they were
 	// sampled at: an empty list when clean, the finding strings otherwise.
@@ -93,24 +98,34 @@ type Summary struct {
 // ledger verdict found problems.
 var ErrProblems = errors.New("soak: run found problems")
 
-// samplerOpts is the sampler view of the config — the supervisor derives
-// units under it and ships the same options to every chaos worker child.
+// samplerOpts is the sampler view of the config: the options every unit
+// of the stream derives from.
 func (cfg Config) samplerOpts() SamplerOptions {
 	return SamplerOptions{Designs: cfg.Designs, Async: cfg.Async}
 }
 
 // Scope identifies the unit stream a soak journal checkpoints: the master
-// seed plus the sampler options every unit derives from. Resuming a
-// journal under a different stream fails naming both scopes, instead of
-// silently re-running every unit.
+// seed plus the sampler options every unit derives from ("-" when unset).
+// Resuming a journal under a different stream fails naming both scopes,
+// instead of silently re-running every unit.
 func (cfg Config) Scope() string {
-	designs, async := EncodeSamplerArgs(cfg.samplerOpts())
+	designs, async := "-", "-"
+	if len(cfg.Designs) > 0 {
+		var names []string
+		for _, d := range cfg.Designs {
+			names = append(names, d.String())
+		}
+		designs = strings.Join(names, ",")
+	}
+	if cfg.Async != nil {
+		async = cfg.Async.Label()
+	}
 	return fmt.Sprintf("soak|seed=%d|designs=%s|async=%s", cfg.Seed, designs, async)
 }
 
 // Run executes the soak loop: sample units from the seeded stream, run
 // them journaled on a worker pool with the fault oracle armed, cycle every
-// ChaosEvery-th unit through SIGKILL/resume byte-identity, gate resources
+// ChaosEvery-th unit through a SIGKILLed fleet worker, gate resources
 // every GateEvery units, and append one fsync'd ledger line per unit in
 // stream order. It returns a non-nil Summary whenever the ledger was
 // created, even alongside an error.
@@ -121,8 +136,8 @@ func Run(cfg Config) (*Summary, error) {
 	if cfg.Units <= 0 && cfg.Duration <= 0 {
 		return nil, errors.New("soak: need a Units or Duration bound")
 	}
-	if cfg.ChaosEvery > 0 && (len(cfg.WorkerCmd) == 0 || cfg.WorkDir == "") {
-		return nil, errors.New("soak: chaos needs WorkerCmd and WorkDir")
+	if cfg.ChaosEvery > 0 && len(cfg.WorkerCmd) == 0 {
+		return nil, errors.New("soak: chaos needs WorkerCmd")
 	}
 	if cfg.KillAfter <= 0 {
 		cfg.KillAfter = 30 * time.Millisecond
@@ -275,7 +290,7 @@ func Run(cfg Config) (*Summary, error) {
 
 // runOne produces the ledger line for stream unit index: journal-restore
 // or simulate the reference report in-process, then — on chaos units —
-// run the kill/resume worker cycle against the reference's bytes.
+// run the fleet kill cycle against the reference's bytes.
 func runOne(ctx context.Context, cfg Config, index int) (*LedgerLine, error) {
 	unit := UnitAtOpt(cfg.Seed, index, cfg.samplerOpts())
 	fp := unit.Fingerprint(cfg.Seed)
@@ -318,14 +333,7 @@ func runOne(ctx context.Context, cfg Config, index int) (*LedgerLine, error) {
 			}
 		}
 		if cfg.Live != nil {
-			cfg.Live.Fault.Armed.AddAt(index, uint64(rep.Armed))
-			cfg.Live.Fault.Detected.AddAt(index, rep.Detections)
-			cfg.Live.Fault.Recovered.AddAt(index, rep.Recoveries)
-			if rep.Failure != "" {
-				cfg.Live.Runner.Failed.AddAt(index, 1)
-			} else {
-				cfg.Live.Runner.Finished.AddAt(index, 1)
-			}
+			fault.FoldLive(cfg.Live, index, &rep)
 		}
 	}
 	line.fromReport(&rep)
@@ -343,7 +351,6 @@ func runOne(ctx context.Context, cfg Config, index int) (*LedgerLine, error) {
 		ok := cr.IdentityOK
 		line.IdentityOK = &ok
 		line.Killed = cr.Killed
-		line.Resumed = line.Resumed || cr.Resumed
 	}
 
 	line.WallMS = time.Since(began).Milliseconds()

@@ -5,21 +5,24 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
+	"tvarak/internal/fault"
+	"tvarak/internal/fleet"
 	"tvarak/internal/harness"
 	"tvarak/internal/live"
+	"tvarak/internal/param"
 )
 
-// TestSoakWorkerHelper is not a test: it is the chaos worker child the
-// end-to-end tests re-exec their own test binary into (the classic
-// helper-process pattern). Guarded by an env var so a plain `go test`
-// skips it.
+// TestSoakWorkerHelper is not a test: it is the fleet worker the chaos
+// tests re-exec their own test binary into (the classic helper-process
+// pattern), taking the `tvarak worker` flags the cycle uses. Guarded by an
+// env var so a plain `go test` skips it.
 func TestSoakWorkerHelper(t *testing.T) {
 	if os.Getenv("TVARAK_SOAK_WORKER") != "1" {
 		t.Skip("soak chaos worker helper (enabled via TVARAK_SOAK_WORKER=1)")
@@ -31,17 +34,23 @@ func TestSoakWorkerHelper(t *testing.T) {
 			break
 		}
 	}
-	if err := RunWorkerArgs(os.Stdout, args); err != nil {
+	fs := flag.NewFlagSet("worker", flag.ExitOnError)
+	w := &fleet.Worker{Name: fmt.Sprintf("helper:%d", os.Getpid())}
+	fs.StringVar(&w.Gateway, "gateway", "", "gateway base URL")
+	fs.DurationVar(&w.AcquireDelay, "acquire-delay", 0, "pause between lease grant and unit start")
+	fs.Parse(args)
+	if err := w.Run(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// workerCmd re-execs this test binary into the helper above.
-func workerCmd(t *testing.T) []string {
+// workerCmd re-execs this test binary into the helper above, with extra
+// worker flags.
+func workerCmd(t *testing.T, extra ...string) []string {
 	t.Setenv("TVARAK_SOAK_WORKER", "1")
-	return []string{os.Args[0], "-test.run=TestSoakWorkerHelper", "--"}
+	return append([]string{os.Args[0], "-test.run=TestSoakWorkerHelper", "--"}, extra...)
 }
 
 // writeOpsLedger fabricates a resource ledger with the given goroutine
@@ -77,7 +86,8 @@ func readLedgerFile(t *testing.T, path string) []LedgerLine {
 }
 
 // TestSoakEndToEnd drives the full loop: 6 units, chaos on every 3rd
-// (SIGKILL/resume byte-identity through a real child process), a clean
+// (a SIGKILLed fleet worker process, byte-identity of the redelivered
+// unit's result), a clean
 // resource gate at unit 4, and a same-seed rerun whose canonical ledger
 // projection must be byte-identical.
 func TestSoakEndToEnd(t *testing.T) {
@@ -95,7 +105,6 @@ func TestSoakEndToEnd(t *testing.T) {
 		ChaosEvery:    3,
 		KillAfter:     20 * time.Millisecond,
 		WorkerCmd:     workerCmd(t),
-		WorkDir:       dir,
 		GateEvery:     4,
 		OpsLedgerPath: ops,
 		LedgerPath:    filepath.Join(dir, "soak.jsonl"),
@@ -124,7 +133,7 @@ func TestSoakEndToEnd(t *testing.T) {
 			t.Fatalf("line %d: chaos=%v, want %v", i, l.Chaos, wantChaos)
 		}
 		if wantChaos && (l.IdentityOK == nil || !*l.IdentityOK) {
-			t.Fatalf("line %d: resumed chaos report not byte-identical", i)
+			t.Fatalf("line %d: chaos report not byte-identical", i)
 		}
 		if u := UnitAt(cfg.Seed, i); l.Key != u.Fingerprint(cfg.Seed) || l.App != u.App {
 			t.Fatalf("line %d does not match the sampled unit", i)
@@ -157,43 +166,70 @@ func TestSoakEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWorkerJournalRestore exercises the chaos resume leg's restore path
-// in-process: when the first leg journaled the finished unit before dying,
-// the resume leg restores it (RestoredMarker) and emits identical bytes.
-func TestWorkerJournalRestore(t *testing.T) {
+// TestSoakChaosRedelivery pins the redelivery path: the victim holds its
+// lease well past the kill (AcquireDelay, inside the lease TTL) before
+// starting the unit, so the
+// SIGKILL always orphans the lease and the accepted payload can only come
+// from the survivor's redelivered lease.
+func TestSoakChaosRedelivery(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a simulation")
+		t.Skip("spawns worker processes")
 	}
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "w.journal")
-	out := filepath.Join(dir, "w.json")
+	cfg := Config{
+		Seed:       42,
+		Units:      1,
+		ChaosEvery: 1,
+		KillAfter:  20 * time.Millisecond,
+		WorkerCmd:  workerCmd(t, "-acquire-delay", "500ms"),
+		LedgerPath: filepath.Join(dir, "soak.jsonl"),
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	lines := readLedgerFile(t, cfg.LedgerPath)
+	if len(lines) != 1 {
+		t.Fatalf("ledger has %d lines, want 1", len(lines))
+	}
+	if l := lines[0]; !l.Chaos || !l.Killed || l.IdentityOK == nil || !*l.IdentityOK {
+		t.Fatalf("chaos line = %+v, want chaos, killed and identityOK", l)
+	}
+}
 
-	var leg1, leg2 bytes.Buffer
-	if err := RunWorker(&leg1, 42, 0, jpath, out, false, SamplerOptions{}); err != nil {
-		t.Fatal(err)
+// TestSoakUnitIsOneUnitCampaign: every soak unit, under every sampler
+// option set, is the single unit of its one-app, one-design campaign job —
+// the equivalence that lets a fleet worker run it unchanged.
+func TestSoakUnitIsOneUnitCampaign(t *testing.T) {
+	rangeInc := param.AsyncConfig{EpochCyc: 22700, DirtyGran: param.GranRange, Incremental: true}
+	battery := param.BatteryPreset(22700)
+	sets := map[string]SamplerOptions{
+		"default":           {},
+		"vilamb":            {Designs: []param.Design{param.Vilamb}},
+		"txb-page+baseline": {Designs: []param.Design{param.TxBPageCsums, param.Baseline}},
+		"async-zero":        {Async: &param.AsyncConfig{}},
+		"async-epoch":       {Async: &param.AsyncConfig{EpochCyc: 4096}},
+		"async-battery":     {Async: &battery},
+		"async-range-inc":   {Async: &rangeInc},
 	}
-	b1, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunWorker(&leg2, 42, 0, jpath, out, true, SamplerOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(leg1.String(), RestoredMarker) {
-		t.Fatal("fresh leg claims it restored from a journal")
-	}
-	if !strings.Contains(leg2.String(), RestoredMarker) {
-		t.Fatal("resume leg re-ran instead of restoring the journaled unit")
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("restored report differs from the original:\n %s\n %s", b1, b2)
+	for name, opts := range sets {
+		for i := 0; i < 400; i++ {
+			u := UnitAtOpt(7, i, opts)
+			spec, plan, err := chaosPlan(u)
+			if err != nil {
+				t.Fatalf("%s unit %d: %v", name, i, err)
+			}
+			o, err := spec.CampaignOptions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			units, err := fault.CampaignUnits(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(units) != 1 || units[0].Params != u.UnitParams || plan.Fingerprint(0) != units[0].Fp {
+				t.Fatalf("%s unit %d: campaign units %+v, want exactly %+v", name, i, units, u.UnitParams)
+			}
+		}
 	}
 }
 
@@ -335,6 +371,6 @@ func TestSoakConfigValidation(t *testing.T) {
 		t.Error("unbounded run accepted")
 	}
 	if _, err := Run(Config{Seed: 1, Units: 1, LedgerPath: "x.jsonl", ChaosEvery: 1}); err == nil {
-		t.Error("chaos without WorkerCmd/WorkDir accepted")
+		t.Error("chaos without WorkerCmd accepted")
 	}
 }
