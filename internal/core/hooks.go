@@ -48,7 +48,7 @@ func (t *Controller) OnFill(issue, complete uint64, addr uint64, data []byte) ui
 // reconstructed from parity and data receives the recovered line. Returns
 // the cycle at which the verified line can be handed over.
 func (t *Controller) verifyPageGranular(issue, complete uint64, bank int, addr uint64, data []byte) uint64 {
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	base := geo.PageBase(geo.PageOf(addr))
 	off := int(addr - base)
 	ls := t.lineSize
@@ -190,7 +190,7 @@ func (t *Controller) updateRedundancy(now uint64, m *Mapping, addr uint64, old, 
 // the parity delta), recompute the page checksum with the new line content,
 // and update parity and checksum.
 func (t *Controller) updateRedundancyPage(now uint64, m *Mapping, addr uint64, newData []byte) {
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	bank := t.eng.BankIndex(addr)
 	base := geo.PageBase(geo.PageOf(addr))
 	off := int(addr - base)

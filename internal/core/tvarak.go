@@ -146,7 +146,7 @@ func (t *Controller) SetPageCsumTable(startDI uint64) {
 // match runs the address-range comparators: it returns the mapping covering
 // the DAX data line at addr, or nil.
 func (t *Controller) match(addr uint64) *Mapping {
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	if !geo.IsNVM(addr) {
 		return nil
 	}
@@ -167,7 +167,7 @@ func (t *Controller) match(addr uint64) *Mapping {
 // csumSlot returns the checksum line address and packed slot index of the
 // DAX-CL-checksum for data line addr under mapping m.
 func (t *Controller) csumSlot(m *Mapping, addr uint64) (lineAddr uint64, slot int) {
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	di := geo.DataIndexOf(geo.PageOf(addr))
 	lineIdx := (di-m.StartDI)*uint64(geo.LinesPerPage()) +
 		((addr-geo.NVMBase())%uint64(geo.PageSize))/uint64(geo.LineSize)
@@ -182,7 +182,7 @@ func (t *Controller) pageCsumSlot(addr uint64) (lineAddr uint64, slot int) {
 	if !t.havePageCsums {
 		panic("core: page-granular mode without a page checksum table")
 	}
-	geo := t.eng.Geo
+	geo := &t.eng.Geo
 	di := geo.DataIndexOf(geo.PageOf(addr))
 	a := geo.DataIndexAddr(t.pageCsumDI, di*xsum.Size)
 	return geo.LineAddr(a), int(a%uint64(t.lineSize)) / xsum.Size

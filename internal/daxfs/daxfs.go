@@ -99,8 +99,9 @@ func (fs *FS) Engine() *sim.Engine { return fs.eng }
 // designs).
 func (fs *FS) Controller() *core.Controller { return fs.ctrl }
 
-// Geometry returns the NVM layout.
-func (fs *FS) Geometry() geom.Geometry { return fs.geo }
+// Geometry returns the NVM layout (shared, read-only: callers on the
+// per-line paths use it without copying the struct).
+func (fs *FS) Geometry() *geom.Geometry { return &fs.geo }
 
 // pageCsumAddr returns the physical address of data page p's checksum entry.
 func (fs *FS) pageCsumAddr(dataIndex uint64) uint64 {
@@ -295,7 +296,7 @@ func (fs *FS) rebuildParityForRange(f *File, first, last uint64) {
 // RebuildStripeParity recomputes stripe s's parity page as the XOR of its
 // data pages' current media content.
 func (fs *FS) RebuildStripeParity(s uint64) {
-	geo := fs.geo
+	geo := &fs.geo
 	parity := make([]byte, geo.PageSize)
 	buf := make([]byte, geo.PageSize)
 	pi := geo.ParitySlot(s)

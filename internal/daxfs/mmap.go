@@ -80,7 +80,7 @@ func (fs *FS) putLineCsums(run *csumRun, page []byte) {
 // stripe's data pages are exactly the file's pages [k·(D−1), (k+1)·(D−1)).
 func (fs *FS) ReconcileMapping(m *DaxMap) {
 	f := m.f
-	geo := fs.geo
+	geo := &fs.geo
 	q := fs.quantum
 	if f.StartDI%q != 0 || f.Pages%q != 0 {
 		panic(fmt.Sprintf("daxfs: %q data pages [%d,%d) not stripe-aligned", f.Name, f.StartDI, f.StartDI+f.Pages))
@@ -205,7 +205,7 @@ type Corruption struct {
 // that runs on a core during workloads, see Scrubber.
 func (fs *FS) Scrub() []Corruption {
 	var bad []Corruption
-	geo := fs.geo
+	geo := &fs.geo
 	page := make([]byte, geo.PageSize)
 	for _, f := range fs.Files() {
 		for p := uint64(0); p < f.Pages; p++ {
@@ -235,7 +235,7 @@ func (fs *FS) Scrub() []Corruption {
 // (XOR of the parity page and the stripe's other data pages), repairs
 // media, and re-verifies the page against its system-checksum.
 func (fs *FS) RecoverFilePage(f *File, page uint64) error {
-	geo := fs.geo
+	geo := &fs.geo
 	pp := geo.PageOfDataIndex(f.StartDI + page)
 	s := geo.StripeOf(pp)
 	rec := make([]byte, geo.PageSize)

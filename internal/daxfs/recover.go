@@ -21,7 +21,7 @@ import (
 // It is a raw maintenance operation (untimed), run after a device
 // replacement with caches drained.
 func (fs *FS) RecoverDIMM(d int) error {
-	geo := fs.geo
+	geo := &fs.geo
 	if d < 0 || d >= geo.DIMMs {
 		return fmt.Errorf("daxfs: no NVM DIMM %d", d)
 	}
@@ -91,7 +91,7 @@ func (sc *Scrubber) Worker(stop *bool) func(*sim.Core) {
 // timed loads on core c. Corrupted pages are recovered from parity.
 func (sc *Scrubber) Pass(c *sim.Core) {
 	fs := sc.fs
-	geo := fs.geo
+	geo := &fs.geo
 	page := make([]byte, geo.PageSize)
 	var ent [xsum.Size]byte
 	for _, f := range fs.Files() {

@@ -744,7 +744,7 @@ func (u *unitCtx) crashPoint(rng *rand.Rand) error {
 	}
 	f := files[rng.Intn(len(files))]
 	page := uint64(rng.Int63n(int64(f.Pages)))
-	geo := u.sys.Eng.Geo
+	geo := &u.sys.Eng.Geo
 	base := geo.DataIndexAddr(f.StartDI+page, 0)
 	ps := uint64(geo.PageSize)
 	u.o.Pause()

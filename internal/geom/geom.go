@@ -64,35 +64,35 @@ func New(lineSize, pageSize, dramBytes, nvmBytes, dimms int) (Geometry, error) {
 }
 
 // NVMBase is the first NVM physical address.
-func (g Geometry) NVMBase() uint64 { return uint64(g.DRAMBytes) }
+func (g *Geometry) NVMBase() uint64 { return uint64(g.DRAMBytes) }
 
 // NVMEnd is one past the last NVM physical address.
-func (g Geometry) NVMEnd() uint64 { return uint64(g.DRAMBytes + g.NVMBytes) }
+func (g *Geometry) NVMEnd() uint64 { return uint64(g.DRAMBytes + g.NVMBytes) }
 
 // IsNVM reports whether addr falls in the NVM range.
-func (g Geometry) IsNVM(addr uint64) bool {
+func (g *Geometry) IsNVM(addr uint64) bool {
 	return addr >= g.NVMBase() && addr < g.NVMEnd()
 }
 
 // LineAddr rounds addr down to its cache-line base.
-func (g Geometry) LineAddr(addr uint64) uint64 {
+func (g *Geometry) LineAddr(addr uint64) uint64 {
 	return addr &^ uint64(g.LineSize-1)
 }
 
 // LinesPerPage is the number of cache lines in one page.
-func (g Geometry) LinesPerPage() int { return g.PageSize / g.LineSize }
+func (g *Geometry) LinesPerPage() int { return g.PageSize / g.LineSize }
 
 // TotalPages is the number of NVM pages (data + parity).
-func (g Geometry) TotalPages() uint64 { return uint64(g.NVMBytes / g.PageSize) }
+func (g *Geometry) TotalPages() uint64 { return uint64(g.NVMBytes / g.PageSize) }
 
 // Stripes is the number of parity stripes.
-func (g Geometry) Stripes() uint64 { return g.TotalPages() / uint64(g.DIMMs) }
+func (g *Geometry) Stripes() uint64 { return g.TotalPages() / uint64(g.DIMMs) }
 
 // DataPages is the number of non-parity NVM pages.
-func (g Geometry) DataPages() uint64 { return g.Stripes() * uint64(g.DIMMs-1) }
+func (g *Geometry) DataPages() uint64 { return g.Stripes() * uint64(g.DIMMs-1) }
 
 // PageOf returns the NVM page number of addr (addr must be in NVM).
-func (g Geometry) PageOf(addr uint64) uint64 {
+func (g *Geometry) PageOf(addr uint64) uint64 {
 	if g.pagePow2 {
 		return (addr - uint64(g.DRAMBytes)) >> g.pageShift
 	}
@@ -100,7 +100,7 @@ func (g Geometry) PageOf(addr uint64) uint64 {
 }
 
 // PageBase returns the physical address of the first byte of NVM page p.
-func (g Geometry) PageBase(p uint64) uint64 {
+func (g *Geometry) PageBase(p uint64) uint64 {
 	if g.pagePow2 {
 		return uint64(g.DRAMBytes) + p<<g.pageShift
 	}
@@ -109,7 +109,7 @@ func (g Geometry) PageBase(p uint64) uint64 {
 
 // DIMMOf returns the DIMM holding NVM page p under round-robin page
 // interleaving.
-func (g Geometry) DIMMOf(p uint64) int {
+func (g *Geometry) DIMMOf(p uint64) int {
 	if g.dimmPow2 {
 		return int(p & g.dimmMask)
 	}
@@ -117,7 +117,7 @@ func (g Geometry) DIMMOf(p uint64) int {
 }
 
 // StripeOf returns the stripe containing NVM page p.
-func (g Geometry) StripeOf(p uint64) uint64 {
+func (g *Geometry) StripeOf(p uint64) uint64 {
 	if g.dimmPow2 {
 		return p >> g.dimmShift
 	}
@@ -126,7 +126,7 @@ func (g Geometry) StripeOf(p uint64) uint64 {
 
 // ParitySlot returns the in-stripe slot of stripe s that holds parity
 // (rotating: s mod D).
-func (g Geometry) ParitySlot(s uint64) int {
+func (g *Geometry) ParitySlot(s uint64) int {
 	if g.dimmPow2 {
 		return int(s & g.dimmMask)
 	}
@@ -134,18 +134,18 @@ func (g Geometry) ParitySlot(s uint64) int {
 }
 
 // ParityPage returns the page number of stripe s's parity page.
-func (g Geometry) ParityPage(s uint64) uint64 {
+func (g *Geometry) ParityPage(s uint64) uint64 {
 	return s*uint64(g.DIMMs) + uint64(g.ParitySlot(s))
 }
 
 // IsParityPage reports whether NVM page p is a parity page.
-func (g Geometry) IsParityPage(p uint64) bool {
+func (g *Geometry) IsParityPage(p uint64) bool {
 	return g.ParitySlot(g.StripeOf(p)) == g.DIMMOf(p)
 }
 
 // DataIndexOf returns the contiguous data-page index of NVM page p,
 // skipping parity pages. It panics if p is a parity page.
-func (g Geometry) DataIndexOf(p uint64) uint64 {
+func (g *Geometry) DataIndexOf(p uint64) uint64 {
 	s := g.StripeOf(p)
 	k := g.DIMMOf(p)
 	pi := g.ParitySlot(s)
@@ -161,7 +161,7 @@ func (g Geometry) DataIndexOf(p uint64) uint64 {
 
 // PageOfDataIndex is the inverse of DataIndexOf: it maps a contiguous data
 // page index to its physical NVM page number.
-func (g Geometry) PageOfDataIndex(di uint64) uint64 {
+func (g *Geometry) PageOfDataIndex(di uint64) uint64 {
 	s := di / uint64(g.DIMMs-1)
 	r := int(di % uint64(g.DIMMs-1))
 	pi := g.ParitySlot(s)
@@ -174,7 +174,7 @@ func (g Geometry) PageOfDataIndex(di uint64) uint64 {
 
 // DataIndexAddr returns the physical address of byte off within the
 // contiguous data-page space starting at data index di.
-func (g Geometry) DataIndexAddr(di uint64, off uint64) uint64 {
+func (g *Geometry) DataIndexAddr(di uint64, off uint64) uint64 {
 	if g.pagePow2 {
 		page := di + off>>g.pageShift
 		return g.PageBase(g.PageOfDataIndex(page)) + off&(uint64(g.PageSize)-1)
@@ -186,7 +186,7 @@ func (g Geometry) DataIndexAddr(di uint64, off uint64) uint64 {
 // ParityLineAddr returns the physical address of the parity line protecting
 // the data line at addr: the same page offset within the stripe's parity
 // page.
-func (g Geometry) ParityLineAddr(addr uint64) uint64 {
+func (g *Geometry) ParityLineAddr(addr uint64) uint64 {
 	p := g.PageOf(addr)
 	s := g.StripeOf(p)
 	off := addr - g.NVMBase()
@@ -202,13 +202,13 @@ func (g Geometry) ParityLineAddr(addr uint64) uint64 {
 // in addr's parity group: the same page offset in every other non-parity
 // page of the stripe. Recovery XORs these with the parity line to
 // reconstruct a lost line.
-func (g Geometry) SiblingLineAddrs(addr uint64) []uint64 {
+func (g *Geometry) SiblingLineAddrs(addr uint64) []uint64 {
 	return g.AppendSiblingLineAddrs(make([]uint64, 0, g.DIMMs-2), addr)
 }
 
 // AppendSiblingLineAddrs is SiblingLineAddrs into a caller-owned slice, for
 // steady-state paths that must not allocate per line.
-func (g Geometry) AppendSiblingLineAddrs(dst []uint64, addr uint64) []uint64 {
+func (g *Geometry) AppendSiblingLineAddrs(dst []uint64, addr uint64) []uint64 {
 	p := g.PageOf(addr)
 	s := g.StripeOf(p)
 	off := g.LineAddr((addr - g.NVMBase()) % uint64(g.PageSize))

@@ -1,8 +1,15 @@
 // Package nvm models the simulated machine's memory devices: NVM DIMMs
 // (page-interleaved, with injectable firmware bugs and device-level ECC)
-// and DRAM DIMMs (line-interleaved). Devices are backed by real bytes so
-// that checksums, parity, corruption and recovery are computed over real
+// and DRAM DIMMs (line-interleaved). Devices hold real bytes so that
+// checksums, parity, corruption and recovery are computed over real
 // content rather than emulated with flags.
+//
+// Media is sparse: each DIMM keeps a dense page table with one entry per
+// DIMM-local page, nil until the first write of any kind (timed, raw,
+// injected bit flip, or a misdirected write landing there) materializes
+// the page. An unmaterialized page reads as zeros whose device ECC is the
+// zero line's checksum, exactly like freshly zeroed media, and no read
+// ever materializes it. A run pays only for the pages it touches.
 //
 // Faithful to §II-A of the paper, device-level ECC is read and written as
 // an atom with its data by the firmware during each media access, so it
@@ -13,6 +20,7 @@ package nvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -63,11 +71,36 @@ type bug struct {
 }
 
 type dimm struct {
-	data    []byte
-	ecc     []uint32 // one device ECC word per line, stored "with" the data
-	busyCyc uint64   // accumulated transfer occupancy (bandwidth bound)
+	// pages is the DIMM's page table: one entry per DIMM-local page of
+	// Memory.frame bytes, nil while the page has never been written. A
+	// materialized page holds its data followed by one device ECC word per
+	// line, stored "with" the data (see Memory.eccOff).
+	pages   [][]byte
+	busyCyc uint64 // accumulated transfer occupancy (bandwidth bound)
 	reads   uint64
 	writes  uint64
+}
+
+// slabPages is how many pages one PageSlab allocation holds: first-touch
+// materialization is a slice expression, not an allocation, 63 times in 64.
+const slabPages = 64
+
+// PageSlab carves zeroed pages of Size bytes out of shared allocations of
+// slabPages pages each. The media page tables and the oracle's shadow use
+// it to materialize pages on first write.
+type PageSlab struct {
+	Size int
+	free []byte
+}
+
+// Alloc returns a fresh zeroed page of s.Size bytes.
+func (s *PageSlab) Alloc() []byte {
+	if len(s.free) == 0 {
+		s.free = make([]byte, slabPages*s.Size)
+	}
+	pg := s.free[:s.Size:s.Size]
+	s.free = s.free[s.Size:]
+	return pg
 }
 
 // Memory is one memory pool (all NVM DIMMs or all DRAM DIMMs).
@@ -94,6 +127,19 @@ type Memory struct {
 	dimmPow2  bool
 	lineShift uint
 	linePow2  bool
+
+	// Page-table geometry: frame is the DIMM-local page size (the
+	// geometry's page size for both pools), with its shift form when a
+	// power of two. Every page stores its ECC words XORed with zeroECC,
+	// the zero line's checksum, so a freshly zeroed page is consistent
+	// with no fill loop. zero is one frame of zeros, the content of every
+	// unmaterialized page.
+	frame      uint64
+	frameShift uint
+	framePow2  bool
+	zeroECC    uint32
+	zero       []byte
+	slab       PageSlab
 
 	// One-shot firmware bugs armed by tests and fault-injection tools,
 	// keyed by intended line address. NVM only. Bugs model firmware
@@ -164,19 +210,21 @@ func New(kind Kind, geo geom.Geometry, p param.MemParams, st *stats.Stats) *Memo
 		m.linePow2 = true
 		m.lineShift = uint(bits.TrailingZeros64(ls))
 	}
-	per := int(m.size) / p.DIMMs
-	zeroECC := xsum.Checksum(make([]byte, m.lineSize))
+	m.frame = uint64(geo.PageSize)
+	if m.frame&(m.frame-1) == 0 {
+		m.framePow2 = true
+		m.frameShift = uint(bits.TrailingZeros64(m.frame))
+	}
+	m.zero = make([]byte, m.frame)
+	m.zeroECC = xsum.Checksum(m.zero[:m.lineSize])
+	m.slab = PageSlab{Size: int(m.frame) + geo.LinesPerPage()*eccSize}
+	// Each DIMM holds ceil(units/DIMMs) interleave units.
+	units := (m.size + m.unit - 1) / m.unit
+	span := (units + m.nd - 1) / m.nd * m.unit
+	frames := (span + m.frame - 1) / m.frame
 	m.dimms = make([]*dimm, p.DIMMs)
 	for i := range m.dimms {
-		d := &dimm{
-			data: make([]byte, per),
-			ecc:  make([]uint32, per/m.lineSize),
-		}
-		// Fresh media is zeroed; its ECC must verify.
-		for j := range d.ecc {
-			d.ecc[j] = zeroECC
-		}
-		m.dimms[i] = d
+		m.dimms[i] = &dimm{pages: make([][]byte, frames)}
 	}
 	return m
 }
@@ -206,12 +254,54 @@ func (m *Memory) locate(addr uint64) (*dimm, uint64) {
 	return m.dimms[d], row*m.unit + inUnit
 }
 
-// eccIndex returns the per-line ECC slot for a DIMM byte offset.
-func (m *Memory) eccIndex(off uint64) uint64 {
-	if m.linePow2 {
-		return off >> m.lineShift
+// eccSize is the width of one stored device ECC word.
+const eccSize = 4
+
+// frameOf splits a DIMM byte offset into its page-table index and the
+// offset within that page.
+func (m *Memory) frameOf(off uint64) (idx, in uint64) {
+	if m.framePow2 {
+		return off >> m.frameShift, off & (m.frame - 1)
 	}
-	return off / uint64(m.lineSize)
+	return off / m.frame, off % m.frame
+}
+
+// eccOff returns where, within its page, the ECC word of the line at page
+// offset in is stored: after the page's data, one word per line.
+func (m *Memory) eccOff(in uint64) uint64 {
+	if m.linePow2 {
+		return m.frame + (in>>m.lineShift)*eccSize
+	}
+	return m.frame + in/uint64(m.lineSize)*eccSize
+}
+
+// ecc returns the device ECC word of the line at page offset in.
+func (m *Memory) ecc(pg []byte, in uint64) uint32 {
+	return binary.LittleEndian.Uint32(pg[m.eccOff(in):]) ^ m.zeroECC
+}
+
+// setECC stores the device ECC word of the line at page offset in.
+func (m *Memory) setECC(pg []byte, in uint64, sum uint32) {
+	binary.LittleEndian.PutUint32(pg[m.eccOff(in):], sum^m.zeroECC)
+}
+
+// page returns d's page idx for writing, materializing it on first use.
+func (m *Memory) page(d *dimm, idx uint64) []byte {
+	pg := d.pages[idx]
+	if pg == nil {
+		pg = m.slab.Alloc()
+		d.pages[idx] = pg
+	}
+	return pg
+}
+
+// Materialized reports whether the DIMM-local page holding addr has been
+// written. An unmaterialized page holds zeros with consistent ECC.
+func (m *Memory) Materialized(addr uint64) bool {
+	m.checkRaw(addr, 1)
+	d, off := m.locate(addr)
+	idx, _ := m.frameOf(off)
+	return d.pages[idx] != nil
 }
 
 func (m *Memory) checkLine(addr uint64) uint64 {
@@ -251,8 +341,16 @@ func (m *Memory) ReadLine(now uint64, addr uint64, class Class, buf []byte) (uin
 			m.st.AddDRAM(false, m.p.ReadEnergyPJ)
 		}
 	}
-	copy(buf, d.data[off:off+uint64(m.lineSize)])
-	if d.ecc[m.eccIndex(off)] != xsum.Checksum(buf) {
+	idx, in := m.frameOf(off)
+	eccErr := false
+	if pg := d.pages[idx]; pg == nil {
+		// Never written: zeros, whose implicit ECC always matches.
+		copy(buf, m.zero[:m.lineSize])
+	} else {
+		copy(buf, pg[in:in+uint64(m.lineSize)])
+		eccErr = m.ecc(pg, in) != xsum.Checksum(buf)
+	}
+	if eccErr {
 		if m.st != nil {
 			m.st.ECCErrors++
 		}
@@ -302,8 +400,10 @@ func (m *Memory) WriteLine(now uint64, addr uint64, class Class, data []byte) ui
 	if m.st != nil {
 		m.addWriteStats(class)
 	}
-	copy(d.data[off:off+uint64(m.lineSize)], data)
-	d.ecc[m.eccIndex(off)] = xsum.Checksum(data)
+	idx, in := m.frameOf(off)
+	pg := m.page(d, idx)
+	copy(pg[in:in+uint64(m.lineSize)], data)
+	m.setECC(pg, in, xsum.Checksum(data))
 	return now + m.p.WriteCyc
 }
 
@@ -315,15 +415,18 @@ func (m *Memory) addWriteStats(class Class) {
 	}
 }
 
-// unitRun maps addr to its DIMM and byte offset plus the end of the
-// interleave unit holding it (page for NVM, line for DRAM): data[off:end]
-// is the longest run starting at addr that is contiguous on one DIMM.
-func (m *Memory) unitRun(addr uint64) (d *dimm, off, end uint64) {
-	d, off = m.locate(addr)
+// unitRun maps addr to its DIMM, page-table index and offset within that
+// page, plus the length of the longest run starting at addr that is
+// contiguous on one DIMM: the rest of the interleave unit holding it (page
+// for NVM, line for DRAM). Units never straddle pages, so neither does a
+// run.
+func (m *Memory) unitRun(addr uint64) (d *dimm, idx, in, run uint64) {
+	d, off := m.locate(addr)
+	idx, in = m.frameOf(off)
 	if m.unitPow2 {
-		return d, off, off&^(m.unit-1) + m.unit
+		return d, idx, in, m.unit - off&(m.unit-1)
 	}
-	return d, off, off - off%m.unit + m.unit
+	return d, idx, in, m.unit - off%m.unit
 }
 
 // checkRaw panics unless [addr, addr+n) lies inside the pool.
@@ -339,8 +442,14 @@ func (m *Memory) checkRaw(addr uint64, n int) {
 func (m *Memory) ReadRaw(addr uint64, buf []byte) {
 	m.checkRaw(addr, len(buf))
 	for n := 0; n < len(buf); {
-		d, off, end := m.unitRun(addr + uint64(n))
-		n += copy(buf[n:], d.data[off:end])
+		d, idx, in, run := m.unitRun(addr + uint64(n))
+		c := int(min(run, uint64(len(buf)-n)))
+		if pg := d.pages[idx]; pg == nil {
+			clear(buf[n : n+c])
+		} else {
+			copy(buf[n:n+c], pg[in:])
+		}
+		n += c
 	}
 }
 
@@ -349,9 +458,13 @@ func (m *Memory) ReadRaw(addr uint64, buf []byte) {
 func (m *Memory) EqualRaw(addr uint64, want []byte) bool {
 	m.checkRaw(addr, len(want))
 	for n := 0; n < len(want); {
-		d, off, end := m.unitRun(addr + uint64(n))
-		c := min(end-off, uint64(len(want)-n))
-		if !bytes.Equal(d.data[off:off+c], want[n:n+int(c)]) {
+		d, idx, in, run := m.unitRun(addr + uint64(n))
+		c := min(run, uint64(len(want)-n))
+		have := m.zero[:c]
+		if pg := d.pages[idx]; pg != nil {
+			have = pg[in : in+c]
+		}
+		if !bytes.Equal(have, want[n:n+int(c)]) {
 			return false
 		}
 		n += int(c)
@@ -368,11 +481,12 @@ func (m *Memory) WriteRaw(addr uint64, data []byte) {
 	}
 	ls := uint64(m.lineSize)
 	for n := 0; n < len(data); {
-		d, off, end := m.unitRun(addr + uint64(n))
-		c := uint64(copy(d.data[off:end], data[n:]))
+		d, idx, in, run := m.unitRun(addr + uint64(n))
+		pg := m.page(d, idx)
+		c := uint64(copy(pg[in:in+run], data[n:]))
 		// Units are whole lines, so the touched lines lie inside the run.
-		for lo := off - off%ls; lo < off+c; lo += ls {
-			d.ecc[m.eccIndex(lo)] = xsum.Checksum(d.data[lo : lo+ls])
+		for lo := in - in%ls; lo < in+c; lo += ls {
+			m.setECC(pg, lo, xsum.Checksum(pg[lo:lo+ls]))
 		}
 		n += int(c)
 	}
@@ -404,7 +518,8 @@ func (m *Memory) InjectMisdirectedRead(intended, actual uint64) {
 func (m *Memory) FlipBit(addr uint64, bit uint) {
 	la := m.geo.LineAddr(addr)
 	d, off := m.locate(la)
-	d.data[off+(addr-la)] ^= 1 << (bit % 8)
+	idx, in := m.frameOf(off)
+	m.page(d, idx)[in+(addr-la)] ^= 1 << (bit % 8)
 }
 
 // PendingBugs reports how many injected bugs have not fired yet.

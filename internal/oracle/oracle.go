@@ -3,12 +3,12 @@
 // from the workload's own store stream and checked against the machine at
 // bound-weave phase boundaries and exhaustively at end-of-run.
 //
-// The model is a flat shadow copy of the NVM pool updated from the
-// devices' write observers at the *intended* address of every write —
-// before injected firmware bugs drop or redirect it — so shadow and media
-// agree exactly on every line no fault has struck. Divergence is then the
-// definition of corruption, independent of the checksums and parity the
-// design under test maintains:
+// The model is a shadow of the NVM pool updated from the devices' write
+// observers at the *intended* address of every write — before injected
+// firmware bugs drop or redirect it — so shadow and media agree exactly on
+// every line no fault has struck. Divergence is then the definition of
+// corruption, independent of the checksums and parity the design under
+// test maintains:
 //
 //   - a lost or misdirected write leaves media ≠ shadow at the intended
 //     (and, for misdirected, the victim) line;
@@ -16,6 +16,14 @@
 //     recorded as a silent read unless the design detects it;
 //   - TVARAK's parity reconstruction must restore media == shadow, and its
 //     checksum/parity state must equal what the shadow implies.
+//
+// Like the media (see package nvm), the shadow is sparse: a table with one
+// entry per NVM page, nil until a write materializes the page, so a run
+// pays for the pages it touches rather than the whole pool. An absent
+// shadow page means zeros. Attach copies only the media pages writes have
+// materialized, and the exhaustive checks skip a page only when it is
+// unmaterialized in both media and shadow, the one case where both are
+// provably zero.
 //
 // The fault-injection campaign (internal/fault) registers every line it
 // corrupts in the oracle's exclusion set; checks skip excluded lines, and
@@ -35,6 +43,7 @@ import (
 	"tvarak/internal/nvm"
 	"tvarak/internal/obs"
 	"tvarak/internal/sim"
+	"tvarak/internal/xsum"
 )
 
 // Oracle mirrors the expected NVM content of one simulated system.
@@ -46,9 +55,14 @@ type Oracle struct {
 	geo  geom.Geometry
 	base uint64
 
-	// shadow is the intended media content: every observed write lands
-	// here at its intended address.
-	shadow []byte
+	// shadow is the intended media content, one entry per NVM page (nil
+	// while the page reads as zeros): every observed write lands here at
+	// its intended address. zero is one page of zeros, the content of an
+	// absent page; zeroCRC is its checksum.
+	shadow  [][]byte
+	slab    nvm.PageSlab
+	zero    []byte
+	zeroCRC uint32
 
 	paused bool
 	inner  obs.Tracer // pre-attach engine tracer, still forwarded to
@@ -94,7 +108,9 @@ func Attach(eng *sim.Engine, fs *daxfs.FS) *Oracle {
 		fs:          fs,
 		geo:         eng.Geo,
 		base:        eng.Geo.NVMBase(),
-		shadow:      make([]byte, eng.Geo.NVMBytes),
+		shadow:      make([][]byte, eng.Geo.TotalPages()),
+		slab:        nvm.PageSlab{Size: eng.Geo.PageSize},
+		zero:        make([]byte, eng.Geo.PageSize),
 		touched:     make(map[uint64]struct{}),
 		excluded:    make(map[uint64]struct{}),
 		writtenData: make(map[uint64]struct{}),
@@ -104,7 +120,13 @@ func Attach(eng *sim.Engine, fs *daxfs.FS) *Oracle {
 		recovered:   make(map[uint64]struct{}),
 		inner:       eng.Tracer,
 	}
-	eng.NVM.ReadRaw(o.base, o.shadow)
+	o.zeroCRC = xsum.Checksum(o.zero)
+	ps := uint64(o.geo.PageSize)
+	for p := range o.shadow {
+		if pa := o.base + uint64(p)*ps; eng.NVM.Materialized(pa) {
+			eng.NVM.ReadRaw(pa, o.page(uint64(p)))
+		}
+	}
 	eng.NVM.SetWriteObserver(o.onWrite)
 	eng.NVM.SetReadObserver(o.onRead)
 	eng.Tracer = o
@@ -136,10 +158,14 @@ func (o *Oracle) onWrite(addr uint64, data []byte, timed bool, class nvm.Class) 
 			// Possibly a parity-reconstruction repair; EvRecovery will
 			// tell. Record whether it restored the shadow content.
 			o.lastWrite = addr
-			o.lastWrOK = bytes.Equal(data, o.shadow[addr-o.base:addr-o.base+uint64(len(data))])
+			o.lastWrOK = bytes.Equal(data, o.rest(addr)[:len(data)])
 		}
 	}
-	copy(o.shadow[addr-o.base:], data)
+	for n := 0; n < len(data); {
+		a := addr + uint64(n)
+		p := o.geo.PageOf(a)
+		n += copy(o.page(p)[a-o.geo.PageBase(p):], data[n:])
+	}
 	first := o.geo.LineAddr(addr)
 	last := o.geo.LineAddr(addr + uint64(len(data)) - 1)
 	for la := first; la <= last; la += uint64(o.geo.LineSize) {
@@ -155,7 +181,7 @@ func (o *Oracle) onRead(addr uint64, buf []byte, class nvm.Class, eccErr bool) {
 		o.eccReads[addr] = struct{}{}
 		return
 	}
-	if !bytes.Equal(buf, o.shadow[addr-o.base:addr-o.base+uint64(len(buf))]) {
+	if !bytes.Equal(buf, o.rest(addr)[:len(buf)]) {
 		o.silent[addr] = struct{}{}
 	}
 }
@@ -209,10 +235,27 @@ func (o *Oracle) checkTouched() {
 	clear(o.touched)
 }
 
-func (o *Oracle) lineShadow(la uint64) []byte {
-	i := la - o.base
-	return o.shadow[i : i+uint64(o.geo.LineSize)]
+// page returns shadow page p for writing, materializing it (as zeros) on
+// first use.
+func (o *Oracle) page(p uint64) []byte {
+	if o.shadow[p] == nil {
+		o.shadow[p] = o.slab.Alloc()
+	}
+	return o.shadow[p]
 }
+
+// rest returns the expected bytes from addr to the end of its page,
+// read-only: an absent page reads from the shared zero page.
+func (o *Oracle) rest(addr uint64) []byte {
+	p := o.geo.PageOf(addr)
+	pg := o.shadow[p]
+	if pg == nil {
+		pg = o.zero
+	}
+	return pg[addr-o.geo.PageBase(p):]
+}
+
+func (o *Oracle) lineShadow(la uint64) []byte { return o.rest(la)[:o.geo.LineSize] }
 
 // Exclude marks a line as deliberately corrupted: media checks skip it
 // until a recovery at the line clears the mark.
@@ -243,7 +286,11 @@ func (o *Oracle) GroupKey(lineAddr uint64) uint64 { return o.geo.ParityLineAddr(
 func (o *Oracle) Want(lineAddr uint64, buf []byte) { copy(buf, o.lineShadow(lineAddr)) }
 
 // ShadowRange copies len(buf) expected bytes starting at addr.
-func (o *Oracle) ShadowRange(addr uint64, buf []byte) { copy(buf, o.shadow[addr-o.base:]) }
+func (o *Oracle) ShadowRange(addr uint64, buf []byte) {
+	for n := 0; n < len(buf); {
+		n += copy(buf[n:], o.rest(addr+uint64(n)))
+	}
+}
 
 // WrittenDataLines returns every line the workload has written through
 // the timed data path since Attach, sorted — the candidate pool fault

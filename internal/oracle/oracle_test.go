@@ -2,10 +2,13 @@ package oracle_test
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 
 	"tvarak/internal/apps/fio"
 	"tvarak/internal/harness"
+	"tvarak/internal/nvm"
 	"tvarak/internal/oracle"
 	"tvarak/internal/param"
 	"tvarak/internal/sim"
@@ -188,5 +191,54 @@ func TestOracleDetach(t *testing.T) {
 	o.Want(la, after)
 	if !bytes.Equal(before, after) {
 		t.Fatal("detached oracle still observes writes")
+	}
+}
+
+// A misdirected write or a bit flip that lands on a page no write ever
+// reached leaves that page materialized in media while its shadow page
+// is still absent (zero). The sparse checks may skip a page only when it
+// is absent on both sides, so both faults must still be reported.
+func TestOracleFlagsFaultsOnUntouchedPages(t *testing.T) {
+	sys, o := newSystem(t, param.Baseline)
+	geo := &sys.Eng.Geo
+	victim := geo.DataIndexAddr(geo.DataPages()-1, 128)
+	flipped := geo.DataIndexAddr(geo.DataPages()-2, 64)
+	for _, la := range []uint64{victim, flipped} {
+		if sys.Eng.NVM.Materialized(la) {
+			t.Fatalf("page of %#x already materialized; pick an untouched page", la)
+		}
+	}
+
+	la := o.WrittenDataLines()[0]
+	data := make([]byte, 64)
+	o.Want(la, data)
+	for i := range data {
+		data[i] ^= 0x3c
+	}
+	sys.Eng.NVM.InjectMisdirectedWrite(la, victim)
+	sys.Eng.NVM.WriteLine(0, la, nvm.Data, data)
+	sys.Eng.NVM.FlipBit(flipped+9, 5)
+	for _, la := range []uint64{victim, flipped} {
+		if !sys.Eng.NVM.Materialized(la) {
+			t.Fatalf("fault at %#x did not materialize its page", la)
+		}
+	}
+
+	want := []oracle.Divergence{{Addr: la, Kind: "media"}, {Addr: flipped, Kind: "media"}, {Addr: victim, Kind: "media"}}
+	sort.Slice(want, func(i, j int) bool { return want[i].Addr < want[j].Addr })
+	if got := o.VerifyMediaAll(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("VerifyMediaAll = %v, want %v", got, want)
+	}
+	if got := o.VerifyMedia(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("VerifyMedia = %v, want %v", got, want)
+	}
+	for _, d := range want {
+		o.Exclude(d.Addr)
+	}
+	if got := o.VerifyMedia(); len(got) != 0 {
+		t.Fatalf("VerifyMedia with all three excluded = %v", got)
+	}
+	if got := o.VerifyMediaAll(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("VerifyMediaAll with exclusions = %v, want %v", got, want)
 	}
 }

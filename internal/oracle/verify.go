@@ -57,17 +57,21 @@ func (o *Oracle) verifyFileData(f *daxfs.File, includeExcluded bool) []Divergenc
 // verifyRange compares [addr, addr+n) page by page in place, localizing
 // mismatches to lines. Parity pages inside the range are skipped: parity is checked
 // semantically by VerifyRedundancy (it is maintained only for stripes of
-// mapped data).
+// mapped data). So is a page no write has materialized in either media or
+// shadow: both are zero. A page materialized on one side only is still
+// compared (against zeros): a misdirected write or bit flip can land on a
+// page the shadow never saw, and a lost write can leave media untouched.
 func (o *Oracle) verifyRange(addr, n uint64, includeExcluded bool) []Divergence {
 	var out []Divergence
 	ps := uint64(o.geo.PageSize)
 	ls := uint64(o.geo.LineSize)
 	var buf []byte
 	for pa := addr; pa < addr+n; pa += ps {
-		if o.geo.IsParityPage(o.geo.PageOf(pa)) {
+		p := o.geo.PageOf(pa)
+		if o.geo.IsParityPage(p) || o.shadow[p] == nil && !o.eng.NVM.Materialized(pa) {
 			continue
 		}
-		if o.eng.NVM.EqualRaw(pa, o.shadow[pa-o.base:pa-o.base+ps]) {
+		if o.eng.NVM.EqualRaw(pa, o.rest(pa)) {
 			continue
 		}
 		// Copy the page out only to localize the mismatch to lines.
@@ -100,7 +104,7 @@ func (o *Oracle) VerifyRedundancy() []Divergence {
 		return nil
 	}
 	var out []Divergence
-	geo := o.geo
+	geo := &o.geo
 	ls := uint64(geo.LineSize)
 	ps := uint64(geo.PageSize)
 	lpp := uint64(geo.LinesPerPage())
@@ -160,8 +164,7 @@ func (o *Oracle) VerifyRedundancy() []Divergence {
 // files (the table is authoritative exactly when data is not mapped).
 func (o *Oracle) VerifyPageCsums() []Divergence {
 	var out []Divergence
-	geo := o.geo
-	ps := uint64(geo.PageSize)
+	geo := &o.geo
 	slot := make([]byte, xsum.Size)
 	tableDI, _ := o.fs.PageCsumTable()
 	for _, f := range o.fs.Files() {
@@ -172,8 +175,7 @@ func (o *Oracle) VerifyPageCsums() []Divergence {
 			di := f.StartDI + p
 			pa := geo.DataIndexAddr(di, 0)
 			o.eng.NVM.ReadRaw(geo.DataIndexAddr(tableDI, di*xsum.Size), slot)
-			want := xsum.Checksum(o.shadow[pa-o.base : pa-o.base+ps])
-			if xsum.Get(slot, 0) != want {
+			if xsum.Get(slot, 0) != o.pageCRC(pa) {
 				out = append(out, Divergence{Addr: pa, Kind: "page-csum"})
 			}
 		}
@@ -189,7 +191,7 @@ func (o *Oracle) VerifyPageCsums() []Divergence {
 // (diff-partition) entry shadows a data line and must match it. Lines
 // involving excluded addresses are skipped.
 func (o *Oracle) VerifyPartitionLine(addr uint64, data []byte) error {
-	geo := o.geo
+	geo := &o.geo
 	if !geo.IsNVM(addr) {
 		return nil
 	}
@@ -252,7 +254,7 @@ func (o *Oracle) VerifyPartitionLine(addr uint64, data []byte) error {
 // verifyCsumSlots checks one cached DAX-CL-checksum line of file f whose
 // first slot covers line index byteOff/4.
 func (o *Oracle) verifyCsumSlots(f *daxfs.File, byteOff uint64, data []byte) error {
-	geo := o.geo
+	geo := &o.geo
 	ls := uint64(geo.LineSize)
 	lpp := uint64(geo.LinesPerPage())
 	for k := 0; k < len(data)/xsum.Size; k++ {
@@ -274,20 +276,27 @@ func (o *Oracle) verifyCsumSlots(f *daxfs.File, byteOff uint64, data []byte) err
 // verifyPageCsumSlots checks one cached page-checksum-table line; only
 // slots covering unmapped files' pages are authoritative.
 func (o *Oracle) verifyPageCsumSlots(byteOff uint64, data []byte) error {
-	geo := o.geo
-	ps := uint64(geo.PageSize)
+	geo := &o.geo
 	for k := 0; k < len(data)/xsum.Size; k++ {
 		di := (byteOff + uint64(k)*xsum.Size) / xsum.Size
 		f := o.fileOfDI(di)
 		if f == nil || f.Mapped() {
 			continue
 		}
-		pa := geo.DataIndexAddr(di, 0)
-		if xsum.Get(data, k) != xsum.Checksum(o.shadow[pa-o.base:pa-o.base+ps]) {
+		if xsum.Get(data, k) != o.pageCRC(geo.DataIndexAddr(di, 0)) {
 			return fmt.Errorf("cached page checksum for data page %d diverges from shadow CRC", di)
 		}
 	}
 	return nil
+}
+
+// pageCRC is the checksum of the expected content of the page at pa; an
+// absent shadow page is the zero page.
+func (o *Oracle) pageCRC(pa uint64) uint32 {
+	if o.shadow[o.geo.PageOf(pa)] == nil {
+		return o.zeroCRC
+	}
+	return xsum.Checksum(o.rest(pa))
 }
 
 // fileOfDI returns the file whose data pages contain the data index, or

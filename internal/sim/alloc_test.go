@@ -22,7 +22,9 @@ func TestSteadyStateAccessPathZeroAlloc(t *testing.T) {
 	const span = uint64(4 << 20) // larger than every cache: misses + evictions
 	var buf [8]byte
 	// Warm every line slot of every cache level over the whole span so
-	// Install's lazy Data allocation never fires during measurement.
+	// Install's lazy Data allocation never fires during measurement. The
+	// stores' writebacks also materialize every sparse media page of the
+	// span, so first-touch page allocation happens here, not below.
 	e.Run([]func(*Core){func(c *Core) {
 		for a := uint64(0); a < span; a += 64 {
 			c.Store(base+a, buf[:])
