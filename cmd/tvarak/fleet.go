@@ -68,8 +68,7 @@ func (c *gatewayCmd) run() {
 	if err != nil {
 		fatal(err)
 	}
-	lt := live.NewTelemetry()
-	ops := c.ops.start(lt)
+	ops := c.ops.start(live.NewTelemetry())
 	// Bound to the plan's scope: resuming under different options (or a
 	// skewed binary) fails naming both scopes instead of merging unrelated
 	// results.
@@ -88,7 +87,6 @@ func (c *gatewayCmd) run() {
 		Backoff:       harness.BackoffPolicy{Base: c.redeliverBase, Jitter: 0.5, Seed: uint64(spec.Seed) + 1},
 		KeepGoing:     c.keepGoing,
 		Journal:       journal,
-		Live:          lt,
 	})
 	if err != nil {
 		fatal(err)
@@ -202,9 +200,9 @@ type workerCmd struct {
 	base
 	ops *opsFlags
 
-	gateway, name  string
-	slots, retries int
-	acquireDelay   time.Duration
+	gateway, name string
+	slots         int
+	acquireDelay  time.Duration
 }
 
 func newWorker() *workerCmd {
@@ -213,7 +211,6 @@ func newWorker() *workerCmd {
 	fs.StringVar(&c.gateway, "gateway", "", "gateway control-plane base URL, e.g. http://host:7609 (required)")
 	fs.StringVar(&c.name, "name", "", "worker name in leases and gateway status (default host:pid)")
 	fs.IntVar(&c.slots, "slots", 1, "units run concurrently (each slot is an independent lease loop)")
-	fs.IntVar(&c.retries, "retries", 0, "extra local attempts per sweep unit before reporting it failed to the gateway")
 	fs.DurationVar(&c.acquireDelay, "acquire-delay", 0, "pause between lease grant and unit start (CI uses it to widen the kill window)")
 	c.ops = addOpsFlags(fs)
 	return c
@@ -254,7 +251,6 @@ func (c *workerCmd) run() {
 			w := &fleet.Worker{
 				Gateway:      c.gateway,
 				Name:         name,
-				Retries:      c.retries,
 				AcquireDelay: c.acquireDelay,
 				Backoff: harness.BackoffPolicy{
 					Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5,

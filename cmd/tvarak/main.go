@@ -179,7 +179,7 @@ type opsFlags struct {
 
 func addOpsFlags(fs *flag.FlagSet) *opsFlags {
 	o := &opsFlags{}
-	fs.StringVar(&o.addr, "ops-addr", "", "serve live ops HTTP on this address (/metrics, /healthz, /runs, /debug/pprof); use :0 for a free port")
+	fs.StringVar(&o.addr, "ops-addr", "", "serve live ops HTTP on this address (/healthz, /runs, /debug/pprof); use :0 for a free port")
 	fs.StringVar(&o.addrFile, "ops-addr-file", "", "write the resolved ops listen address to this file (for scripts using -ops-addr :0)")
 	fs.StringVar(&o.ledger, "ops-ledger", "", "append periodic resource samples (heap, goroutines, RSS, throughput) as JSONL to this path; analyze with tvarak opscheck")
 	fs.DurationVar(&o.sample, "ops-sample", time.Second, "resource sample interval for -ops-ledger")

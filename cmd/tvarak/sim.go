@@ -28,7 +28,7 @@ type simCmd struct {
 	prof    *profFlags
 
 	list, jsonOut, progress, keepGoing bool
-	parallel, retries                  int
+	parallel                           int
 	cellTimeout                        time.Duration
 	metricsOut, trace                  string
 	compare, validate                  string
@@ -50,7 +50,6 @@ func newSim() *simCmd {
 	fs.Float64Var(&c.tolerance, "tolerance", 0, "relative per-metric tolerance for -compare (0 = exact)")
 	fs.StringVar(&c.validate, "validate", "", "read a metrics export, validate its schema version, and print a summary")
 	fs.DurationVar(&c.cellTimeout, "cell-timeout", 0, "wall-clock bound per simulation cell; a cell exceeding it is marked hung (goroutine dump in the journal) and its worker is released")
-	fs.IntVar(&c.retries, "retries", 0, "extra attempts for a failing cell before it counts as failed")
 	fs.BoolVar(&c.keepGoing, "keep-going", false, "do not abort on failed cells: render them as FAILED holes, report them in the manifest, exit 1 at the end")
 	c.prof = addProfFlags(fs)
 	c.ops = addOpsFlags(fs)
@@ -102,7 +101,7 @@ func (c *simCmd) run() {
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
 	opts.Parallel, opts.Context = c.parallel, ctx
-	opts.CellTimeout, opts.Retries, opts.Degrade = c.cellTimeout, c.retries, c.keepGoing
+	opts.CellTimeout, opts.Degrade = c.cellTimeout, c.keepGoing
 
 	// Live telemetry backs both -ops-addr and -progress: the renderer and
 	// /runs read the same board, so they can never disagree. It is
@@ -130,9 +129,6 @@ func (c *simCmd) run() {
 		defer f.Close()
 		tracer = obs.NewJSONL(f, 0)
 		opts.Tracer = tracer
-		if lt != nil {
-			lt.TraceGauges(tracer.Written, tracer.Dropped)
-		}
 	}
 	if c.progress {
 		lt.Board.Notify = printCellProgress

@@ -132,8 +132,7 @@ func (c *soakCmd) run() {
 		c.ops.ledger = filepath.Join(dir, "ops.jsonl")
 	}
 	cfg.OpsLedgerPath = c.ops.ledger
-	cfg.Live = live.NewTelemetry()
-	ops := c.ops.start(cfg.Live)
+	ops := c.ops.start(live.NewTelemetry())
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
 	cfg.Context = ctx

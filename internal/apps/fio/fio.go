@@ -89,6 +89,9 @@ func (w *Workload) Setup(s *harness.System) error {
 	if cfg.Threads > s.Cfg.Cores {
 		return fmt.Errorf("fio: %d threads > %d cores", cfg.Threads, s.Cfg.Cores)
 	}
+	if cfg.AccessBytes > cfg.RegionBytes {
+		return fmt.Errorf("fio: %d access bytes > %d region bytes per thread", cfg.AccessBytes, cfg.RegionBytes)
+	}
 	m, err := s.NewMapping("fio", uint64(cfg.Threads)*cfg.RegionBytes)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package fio_test
 
 import (
+	"strings"
 	"testing"
 
 	"tvarak/internal/apps/fio"
@@ -27,6 +28,32 @@ func TestRunsUnderAllDesigns(t *testing.T) {
 				t.Errorf("%v: false corruptions", d)
 			}
 		}
+	}
+}
+
+func TestAccessBeyondRegionFailsCleanly(t *testing.T) {
+	// AccessBytes > RegionBytes cannot be served without touching a line
+	// twice or leaving the region: the cell must fail with an error naming
+	// both sizes, not panic inside the workers.
+	cfg := smallCfg(fio.Rand, false)
+	cfg.AccessBytes = 2 * cfg.RegionBytes
+	cells := []harness.Cell{{
+		Config: param.SmallTest(param.Tvarak),
+		Make:   func() harness.Workload { return fio.New(cfg) },
+	}}
+	_, man, err := harness.Runner{Workers: 1, Degrade: true}.RunManifest(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Failures) != 1 {
+		t.Fatalf("manifest = %+v, want one failure", man)
+	}
+	f := man.Failures[0]
+	if f.Stack != "" {
+		t.Errorf("cell panicked: %s\n%s", f.Err, f.Stack)
+	}
+	if !strings.Contains(f.Err, "2097152 access bytes > 1048576 region bytes") {
+		t.Errorf("error = %q, want one naming both sizes", f.Err)
 	}
 }
 

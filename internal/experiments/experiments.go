@@ -73,17 +73,14 @@ type Options struct {
 	// cell that exceeds it is marked hung (with a goroutine dump in the
 	// journal) and its worker slot is released.
 	CellTimeout time.Duration
-	// Retries grants failing cells extra attempts before they count as
-	// failed (hung and cancelled cells are never retried).
-	Retries int
 	// Degrade keeps an experiment going past failed cells: the table
 	// renders them as explicit FAILED holes and the Manifest carries the
 	// details, instead of the run aborting.
 	Degrade bool
 	// Live, when non-nil, streams per-cell lifecycle and phase-boundary
 	// progress into the wall-clock telemetry bundle served at -ops-addr
-	// (/metrics and /runs). Strictly read-only: attaching it changes no
-	// result.
+	// (/runs) and sampled by -ops-ledger. Strictly read-only: attaching it
+	// changes no result.
 	Live *live.Telemetry
 }
 
@@ -156,7 +153,6 @@ func (o Options) run(id, title string, cells []harness.Cell) (*harness.Table, er
 		Journal:     o.Journal,
 		Scope:       o.Scope(id),
 		CellTimeout: o.CellTimeout,
-		Retries:     o.Retries,
 		Degrade:     o.Degrade,
 		Live:        o.Live,
 	}

@@ -47,10 +47,8 @@ type Options struct {
 	// re-simulating them. Units are deterministic, so a resumed report is
 	// byte-identical to an uninterrupted one.
 	Journal *harness.Journal
-	// Live, when non-nil, streams unit lifecycle onto the /runs board and
-	// folds each finished unit's armed/detected/recovered totals into the
-	// tvarak_fault_* counters. Strictly read-only: reports are
-	// byte-identical with or without it.
+	// Live, when non-nil, streams unit lifecycle onto the /runs board.
+	// Strictly read-only: reports are byte-identical with or without it.
 	Live *live.Telemetry
 }
 
@@ -237,21 +235,6 @@ func AssembleReport(opt Options, units []CampaignUnit, reports []*UnitReport) (*
 	return rep, nil
 }
 
-// FoldLive folds an executed (not restored) unit into lt at slot i: its
-// injection outcomes into the process-wide fault counters, and the unit
-// itself into the runner's finished or failed count, so /metrics reports
-// the work this process actually performed.
-func FoldLive(lt *live.Telemetry, i int, u *UnitReport) {
-	lt.Fault.Armed.AddAt(i, uint64(u.Armed))
-	lt.Fault.Detected.AddAt(i, u.Detections)
-	lt.Fault.Recovered.AddAt(i, u.Recoveries)
-	if u.Failure != "" {
-		lt.Runner.Failed.AddAt(i, 1)
-	} else {
-		lt.Runner.Finished.AddAt(i, 1)
-	}
-}
-
 // Run executes the campaign: one unit per (app, design), the same
 // per-app plan hitting every design. Units are independent simulations,
 // so they run across a worker pool; unit order in the report is fixed
@@ -278,7 +261,6 @@ func Run(opt Options) (*Report, error) {
 			if opt.Journal.Lookup("unit", units[i].Fp, &ju) {
 				u = &ju
 				if opt.Live != nil {
-					opt.Live.Runner.Restored.AddAt(i, 1)
 					opt.Live.Board.CellRestored(i, units[i].Label, 0, 0)
 				}
 				mu.Lock()
@@ -288,7 +270,6 @@ func Run(opt Options) (*Report, error) {
 		}
 		if u == nil {
 			if opt.Live != nil {
-				opt.Live.Runner.Started.AddAt(i, 1)
 				opt.Live.Board.CellRunning(i, units[i].Label)
 			}
 			var err error
@@ -305,7 +286,6 @@ func Run(opt Options) (*Report, error) {
 				}
 			}
 			if opt.Live != nil {
-				FoldLive(opt.Live, i, u)
 				if u.Failure != "" {
 					opt.Live.Board.CellFailed(i, units[i].Label, u.Failure, false)
 				} else {

@@ -717,3 +717,57 @@ func TestFleetGatewayDrainHoldsForLaggardWorkers(t *testing.T) {
 		t.Fatal("Drain did not return after the laggard was told the job is done")
 	}
 }
+
+// TestFleetIdleWorkerWakesAtJobEnd pins the tail of a job: while one worker
+// runs the last unit under a long lease TTL, the other, idle, must not
+// sleep until that lease's (heartbeat-extended) deadline. Both must return
+// promptly once the gateway resolves.
+func TestFleetIdleWorkerWakesAtJobEnd(t *testing.T) {
+	const scope = "toy-tail"
+	plan := func() *toyPlan {
+		return &toyPlan{scope: scope, n: 2, run: func(ctx context.Context, i int) (json.RawMessage, error) {
+			if i == 1 {
+				select {
+				case <-time.After(time.Second):
+				case <-ctx.Done():
+					return nil, context.Cause(ctx)
+				}
+			}
+			return toyPayload(i), nil
+		}}
+	}
+	g, err := NewGateway(GatewayConfig{Plan: plan(), Spec: JobSpec{Kind: "toy"}, LeaseTTL: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serveGateway(t, g)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	type exit struct {
+		name string
+		err  error
+	}
+	returned := make(chan exit, 2)
+	for _, name := range []string{"wa", "wb"} {
+		w := &Worker{
+			Gateway: srv.URL, Name: name, Backoff: fastBackoff(),
+			Build: func(JobSpec) (Plan, error) { return plan(), nil },
+		}
+		go func() { returned <- exit{w.Name, w.Run(ctx)} }()
+	}
+	if _, _, err := g.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(3 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case e := <-returned:
+			if e.err != nil {
+				t.Errorf("worker %s: %v", e.name, e.err)
+			}
+		case <-deadline:
+			t.Fatal("a worker was still asleep 3s after the job resolved")
+		}
+	}
+}

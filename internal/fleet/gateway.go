@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"tvarak/internal/harness"
-	"tvarak/internal/live"
 )
 
 // GatewayConfig configures a fleet gateway.
@@ -43,9 +42,6 @@ type GatewayConfig struct {
 	// reopening the journal (NewGateway restores done units from it). It
 	// should be opened under the plan's scope (OpenJournalScope).
 	Journal *harness.Journal
-	// Live, when non-nil, receives fleet control-plane metrics
-	// (tvarak_fleet_* on /metrics).
-	Live *live.Telemetry
 	// Now is the clock (nil = time.Now); tests inject one to drive lease
 	// expiry and redelivery backoff deterministically.
 	Now func() time.Time
@@ -65,7 +61,6 @@ type Gateway struct {
 	workers  map[string]time.Time // last contact per joined worker
 	informed map[string]bool      // workers whose acquire was answered "done"
 	joinErr  []string             // rejected handshakes, for diagnostics
-	seen     fleetCounts          // table counters already folded into metrics
 
 	resolved chan struct{} // closed once every unit is terminal
 	resOnce  sync.Once
@@ -112,15 +107,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		} else if err := cfg.Journal.Record(KindJob, g.plan.Scope(), cfg.Spec); err != nil {
 			return nil, err
 		}
-		restored := 0
 		for i := 0; i < g.plan.Units(); i++ {
 			if data := cfg.Journal.LookupRaw(KindResult, g.plan.Fingerprint(i)); data != nil {
 				g.table.restore(i, data)
-				restored++
 			}
-		}
-		if g.live() != nil && restored > 0 {
-			g.live().Fleet.ResultsAccepted.Add(uint64(restored))
 		}
 	}
 	g.mux = http.NewServeMux()
@@ -133,16 +123,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-func (g *Gateway) live() *live.Telemetry { return g.cfg.Live }
-
 // Handler is the control-plane HTTP handler (mount at the server root).
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Status snapshots the dispatch state (the same data /v1/status serves).
 func (g *Gateway) Status(withUnits bool) StatusResponse {
-	s := g.table.snapshot(withUnits)
-	g.observeSweep()
-	return s
+	return g.table.snapshot(withUnits)
 }
 
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -161,9 +147,6 @@ func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reject := func(msg string) {
-		if g.live() != nil {
-			g.live().Fleet.WorkersRejected.Add(1)
-		}
 		g.mu.Lock()
 		g.joinErr = append(g.joinErr, fmt.Sprintf("%s: %s", req.Worker, msg))
 		g.mu.Unlock()
@@ -179,9 +162,6 @@ func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 	case req.Scope != g.plan.Scope():
 		reject(fmt.Sprintf("scope mismatch: worker derived %q from the job spec, gateway has %q — worker binary or options are skewed", req.Scope, g.plan.Scope()))
 	default:
-		if g.live() != nil {
-			g.live().Fleet.WorkersJoined.Add(1)
-		}
 		g.touchWorker(req.Worker)
 		writeJSON(w, http.StatusOK, struct {
 			OK bool `json:"ok"`
@@ -203,10 +183,6 @@ func (g *Gateway) handleLease(w http.ResponseWriter, r *http.Request) {
 		g.informed[req.Worker] = true
 		g.mu.Unlock()
 	}
-	g.observeSweep()
-	if lease.Status == StatusGrant && g.live() != nil {
-		g.live().Fleet.LeasesGranted.Add(1)
-	}
 	g.checkResolved()
 	writeJSON(w, http.StatusOK, lease)
 }
@@ -217,10 +193,6 @@ func (g *Gateway) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ok := g.table.heartbeat(req.LeaseID)
-	g.observeSweep()
-	if ok && g.live() != nil {
-		g.live().Fleet.Heartbeats.Add(1)
-	}
 	writeJSON(w, http.StatusOK, HeartbeatResponse{OK: ok, Gone: !ok})
 }
 
@@ -256,16 +228,6 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if lv := g.live(); lv != nil {
-			switch status {
-			case ResultAccepted:
-				lv.Fleet.ResultsAccepted.Add(1)
-			case ResultDuplicate:
-				lv.Fleet.ResultsDuplicate.Add(1)
-			case ResultDivergent:
-				lv.Fleet.ResultsDivergent.Add(1)
-			}
-		}
 		g.checkResolved()
 		writeJSON(w, http.StatusOK, ResultResponse{Status: status})
 	case KindFail:
@@ -277,7 +239,6 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown unit fingerprint %q", fp)})
 			return
 		}
-		g.observeSweep()
 		g.checkResolved()
 		writeJSON(w, http.StatusOK, ResultResponse{Status: ResultFailed})
 	default:
@@ -289,7 +250,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.Status(r.URL.Query().Get("units") != ""))
 }
 
-// touchWorker tracks per-worker last-contact for the liveness gauge.
+// touchWorker records a worker's last contact, which Drain consults.
 func (g *Gateway) touchWorker(name string) {
 	if name == "" {
 		return
@@ -297,42 +258,7 @@ func (g *Gateway) touchWorker(name string) {
 	now := g.cfg.Now()
 	g.mu.Lock()
 	g.workers[name] = now
-	liveCount := 0
-	for _, at := range g.workers {
-		if now.Sub(at) <= 2*g.cfg.LeaseTTL {
-			liveCount++
-		}
-	}
 	g.mu.Unlock()
-	if g.live() != nil {
-		g.live().Fleet.WorkersLive.SetInt(uint64(liveCount))
-	}
-}
-
-// fleetCounts tracks which table counter values have already been folded
-// into the monotonic metrics counters.
-type fleetCounts struct{ expired, redelivered, failed int }
-
-// observeSweep folds the table's counters into the metrics registry.
-// Counters are monotonic, so it adds only the delta since last time.
-func (g *Gateway) observeSweep() {
-	lv := g.live()
-	if lv == nil {
-		return
-	}
-	s := g.table.snapshot(false)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if d := s.Expired - g.seen.expired; d > 0 {
-		lv.Fleet.LeasesExpired.Add(uint64(d))
-	}
-	if d := s.Redelivered - g.seen.redelivered; d > 0 {
-		lv.Fleet.LeasesRedelivered.Add(uint64(d))
-	}
-	if d := s.Failed - g.seen.failed; d > 0 {
-		lv.Fleet.UnitsFailed.Add(uint64(d))
-	}
-	g.seen = fleetCounts{expired: s.Expired, redelivered: s.Redelivered, failed: s.Failed}
 }
 
 // checkResolved closes the resolved channel once every unit is terminal.
@@ -354,7 +280,6 @@ func (g *Gateway) Wait(ctx context.Context) ([]json.RawMessage, map[int]string, 
 	defer tick.Stop()
 	for {
 		g.table.sweep()
-		g.observeSweep()
 		g.checkResolved()
 		select {
 		case <-g.resolved:
@@ -381,12 +306,13 @@ func (g *Gateway) Wait(ctx context.Context) ([]json.RawMessage, map[int]string, 
 
 // Drain keeps the control plane answering after resolution until every
 // recently-live worker has contacted it again — an acquire now returns
-// StatusDone, so that contact is the worker learning the job is over. A
-// worker sleeping in an acquire backoff sleeps at most the lease TTL, so
-// the wait is capped at TTL plus a second; workers that died are covered
-// by the cap. Call it between Wait returning and closing the listener,
-// lest laggard workers find a dead socket and report an error for a job
-// that succeeded.
+// StatusDone, so that contact is the worker learning the job is over. An
+// idle worker polls again within the capped wait hint (maxWaitHint), so
+// live workers normally check in within a fraction of a second. The wait
+// is still capped at the lease TTL plus a second: that cap is what covers
+// workers that died without saying so. Call it between Wait returning and
+// closing the listener, lest laggard workers find a dead socket and report
+// an error for a job that succeeded.
 func (g *Gateway) Drain(ctx context.Context) {
 	resolvedAt := g.cfg.Now()
 	deadline := resolvedAt.Add(g.cfg.LeaseTTL + time.Second)

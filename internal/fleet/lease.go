@@ -50,8 +50,7 @@ type leaseTable struct {
 
 	nextLease int // lease id sequence
 
-	// Counters mirrored into StatusResponse (metrics are the gateway's
-	// job — the table just counts).
+	// Counters mirrored into StatusResponse.
 	granted     int
 	expired     int
 	redelivered int
@@ -137,6 +136,13 @@ func (t *leaseTable) sweep() int {
 	return t.sweepLocked()
 }
 
+// maxWaitHint caps the StatusWait hint. The soonest lease deadline makes a
+// poor wake-up time: heartbeats keep pushing it out, so an idle worker
+// would sleep up to a lease TTL while a sibling finishes the job's last
+// unit. Expiry does not depend on the hint; the deadline sweep requeues an
+// orphaned unit whoever polls next.
+const maxWaitHint = 250 * time.Millisecond
+
 // acquire grants the lowest-index eligible unit to worker, or reports how
 // long to wait, or that the job is resolved. Eligibility is in index
 // order: redelivery respects enumeration order too.
@@ -181,8 +187,8 @@ func (t *leaseTable) acquire(worker string) (lease LeaseResponse) {
 	if t.resolvedLocked() {
 		return LeaseResponse{Status: StatusDone}
 	}
-	if wait <= 0 || wait > t.ttl {
-		wait = t.ttl / 4
+	if wait <= 0 || wait > maxWaitHint {
+		wait = maxWaitHint
 	}
 	if min := 5 * time.Millisecond; wait < min {
 		wait = min

@@ -117,9 +117,6 @@ type SweepPlan struct {
 	// Title is the experiment's table title (set by BuildPlan); merging
 	// under it keeps fleet output byte-identical to a local run's.
 	Title string
-	// Retries grants each worker-side attempt loop extra tries before the
-	// unit is reported failed (the gateway's redelivery then takes over).
-	Retries int
 	// Live, when non-nil, streams the worker-side runner/engine telemetry
 	// of each unit (read-only; results are unaffected).
 	Live *live.Telemetry
@@ -140,7 +137,7 @@ func (p *SweepPlan) Label(i int) string       { return harness.CellLabel(p.cells
 
 // RunUnit simulates cell i and returns its Result as JSON.
 func (p *SweepPlan) RunUnit(ctx context.Context, i int) (json.RawMessage, error) {
-	rn := harness.Runner{Workers: 1, Context: ctx, Retries: p.Retries, Live: p.Live}
+	rn := harness.Runner{Workers: 1, Context: ctx, Live: p.Live}
 	rs, man, err := rn.RunManifest([]harness.Cell{p.cells[i]})
 	if err != nil {
 		return nil, err

@@ -32,8 +32,6 @@ type Worker struct {
 	// Build derives the Plan from the gateway's JobSpec (nil =
 	// BuildPlan). Tests override it to hand back toy plans.
 	Build func(JobSpec) (Plan, error)
-	// Retries is passed into sweep plans' per-unit attempt loop.
-	Retries int
 	// AcquireDelay, when non-zero, pauses between being granted a lease
 	// and starting the unit. It exists for the CI gate: it widens the
 	// window in which SIGKILLing this worker leaves an orphaned lease.
@@ -96,7 +94,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		return fmt.Errorf("fleet: building plan from gateway job spec: %w", err)
 	}
 	if sp, ok := plan.(*SweepPlan); ok {
-		sp.Retries = w.Retries
 		sp.Live = w.Live
 	}
 	// Join with the locally-derived scope: the gateway rejects a skewed

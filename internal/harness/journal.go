@@ -390,10 +390,9 @@ func (c Cell) Fingerprint(scope string) string {
 }
 
 // hangRecord is the payload journaled when the watchdog marks a cell hung:
-// the attempt that hung and a dump of every goroutine's stack at detection
-// time, for post-mortem debugging of the stuck workload.
+// a dump of every goroutine's stack at detection time, for post-mortem
+// debugging of the stuck workload.
 type hangRecord struct {
-	Label   string `json:"label"`
-	Attempt int    `json:"attempt"`
-	Stacks  string `json:"stacks"`
+	Label  string `json:"label"`
+	Stacks string `json:"stacks"`
 }

@@ -391,7 +391,6 @@ func TestRunnerWatchdogMarksHungCell(t *testing.T) {
 	rn := harness.Runner{
 		Workers: 1, Degrade: true, Journal: j, Scope: "hang",
 		CellTimeout: 100 * time.Millisecond,
-		Retries:     2, // hung cells must NOT be retried
 	}
 	tab, err := rn.RunTable("hang", cells)
 	if err != nil {
@@ -404,9 +403,6 @@ func TestRunnerWatchdogMarksHungCell(t *testing.T) {
 	f := man.Failures[0]
 	if !f.Hung {
 		t.Error("deadline-exceeding cell not marked hung")
-	}
-	if f.Attempts != 1 {
-		t.Errorf("hung cell ran %d attempts, want 1 (no retries for hangs)", f.Attempts)
 	}
 	if man.Completed != 2 {
 		t.Errorf("Completed = %d, want 2 (siblings keep running)", man.Completed)
@@ -421,38 +417,45 @@ func TestRunnerWatchdogMarksHungCell(t *testing.T) {
 	}
 }
 
-func TestRunnerRetriesTransientFailures(t *testing.T) {
-	attempts := 0
+// flakyWorkload fails its first Setup and succeeds on every later one:
+// the shape of failure a per-cell retry would hide.
+type flakyWorkload struct {
+	toyWorkload
+	setups *int
+}
+
+func (w *flakyWorkload) Setup(s *harness.System) error {
+	*w.setups++
+	if *w.setups == 1 {
+		return fmt.Errorf("injected first-setup failure in %s", w.name)
+	}
+	return w.toyWorkload.Setup(s)
+}
+
+func TestRunnerFailingCellRunsOnce(t *testing.T) {
+	// Count Setup calls, not factory calls: labelling a failed cell
+	// re-invokes the factory without running the workload.
+	setups := 0
 	cells := []harness.Cell{{
 		Config: param.SmallTest(param.Baseline),
 		Make: func() harness.Workload {
-			// The factory runs once per attempt, so counting here observes
-			// the retry loop. Failure is transient: attempts 1-2 fail.
-			attempts++
-			if attempts <= 2 {
-				return &failingWorkload{name: fmt.Sprintf("flaky-attempt-%d", attempts)}
-			}
-			return &toyWorkload{name: "flaky", stores: 50}
+			return &flakyWorkload{toyWorkload: toyWorkload{name: "flaky", stores: 50}, setups: &setups}
 		},
 	}}
-	// A real backoff policy (seeded jitter, exponential, capped) must stay
-	// wall-clock-only: the retried cell's simulated result is the same as
-	// with zero backoff.
-	rn := harness.Runner{
-		Workers: 1, Retries: 2,
-		Backoff: harness.BackoffPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5, Seed: 42},
-	}
-	rs, man, err := rn.RunManifest(cells)
+	rs, man, err := harness.Runner{Workers: 1, Degrade: true}.RunManifest(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Failures) != 0 || man.Completed != 1 {
-		t.Fatalf("manifest = %+v, want a clean completion after retries", man)
+	if setups != 1 {
+		t.Errorf("Setup ran %d times, want 1 (a failing cell runs once)", setups)
 	}
-	if rs[0] == nil || rs[0].Workload != "flaky" {
-		t.Fatalf("result = %+v, want the third attempt's", rs[0])
+	if len(man.Failures) != 1 || man.Completed != 0 {
+		t.Fatalf("manifest = %+v, want exactly one failure", man)
 	}
-	if attempts != 3 {
-		t.Errorf("workload built %d times, want 3 (two failures + success)", attempts)
+	if !strings.Contains(man.Failures[0].Err, "injected first-setup failure") {
+		t.Errorf("failure = %q, want the first Setup's error", man.Failures[0].Err)
+	}
+	if rs[0] == nil || !rs[0].Failed() {
+		t.Errorf("result = %+v, want a failure placeholder", rs[0])
 	}
 }

@@ -99,14 +99,13 @@ func (c Cell) labelFor(w Workload) string {
 // serializes calls, so implementations need no locking of their own.
 type Progress func(done, total int, r *Result, elapsed time.Duration)
 
-// CellFailure describes one cell that exhausted its attempts without
-// producing a result.
+// CellFailure describes one cell that failed without producing a result.
 type CellFailure struct {
 	// Index is the cell's position in the cells slice.
 	Index int `json:"index"`
 	// Label names the cell (workload/design[variant]).
 	Label string `json:"label"`
-	// Err is the final attempt's error.
+	// Err is the cell's error.
 	Err string `json:"err"`
 	// Stack is the panic stack (contained panics) or the all-goroutine
 	// dump the watchdog took (hung cells); empty for plain errors.
@@ -114,8 +113,6 @@ type CellFailure struct {
 	// Hung marks a cell that exceeded its deadline or was abandoned by
 	// the watchdog rather than failing with an error of its own.
 	Hung bool `json:"hung,omitempty"`
-	// Attempts is how many times the cell ran before giving up.
-	Attempts int `json:"attempts"`
 }
 
 // Manifest summarizes a run's partial-completion state: it is the durable
@@ -130,9 +127,9 @@ type Manifest struct {
 	// FromJournal counts completed cells restored from the journal
 	// instead of re-simulated.
 	FromJournal int `json:"fromJournal,omitempty"`
-	// Failures lists cells that exhausted their attempts, earliest first.
+	// Failures lists cells that failed, earliest first.
 	Failures []CellFailure `json:"failures,omitempty"`
-	// Interrupted lists cells whose attempt was cut short by
+	// Interrupted lists cells whose run was cut short by
 	// cancellation; a resumed run re-executes them.
 	Interrupted []int `json:"interrupted,omitempty"`
 	// NotAttempted lists cells never started — claimed or enumerated
@@ -171,7 +168,7 @@ func (m *Manifest) String() string {
 		if f.Hung {
 			kind = "hung"
 		}
-		s += fmt.Sprintf("\n  cell %d (%s) %s after %d attempt(s): %s", f.Index, f.Label, kind, f.Attempts, f.Err)
+		s += fmt.Sprintf("\n  cell %d (%s) %s: %s", f.Index, f.Label, kind, f.Err)
 	}
 	return s
 }
@@ -185,9 +182,10 @@ func (m *Manifest) String() string {
 // The zero value is the strict historical runner. The resilience fields
 // opt into long-run behaviour: cooperative cancellation (Context), durable
 // checkpoint/resume (Journal), per-cell deadlines with a goroutine-dump
-// watchdog (CellTimeout), bounded retry (Retries/Backoff), and degraded
-// completion that renders failed cells as explicit holes instead of
-// aborting the run (Degrade).
+// watchdog (CellTimeout), and degraded completion that renders failed
+// cells as explicit holes instead of aborting the run (Degrade). A cell
+// runs once: every cell is deterministic, so one that fails would fail
+// again, and one that passed on a second try would be hiding a bug.
 type Runner struct {
 	// Workers bounds how many cells simulate concurrently. Zero or
 	// negative means runtime.NumCPU(); 1 reproduces the historical
@@ -211,7 +209,7 @@ type Runner struct {
 	// Scope namespaces journal fingerprints (the experiment id plus any
 	// options that shape the cells, e.g. scale).
 	Scope string
-	// CellTimeout, when non-zero, bounds one attempt of one cell. The
+	// CellTimeout, when non-zero, bounds one cell's run. The
 	// deadline propagates into the simulation and normally stops it at a
 	// phase boundary; a cell that still does not return within
 	// WatchdogGrace extra time is marked hung, its goroutine dump is
@@ -222,24 +220,16 @@ type Runner struct {
 	// past cancellation) for a cell to unwind cooperatively before the
 	// watchdog abandons it. Zero selects 2s.
 	WatchdogGrace time.Duration
-	// Retries is how many extra attempts a failing cell gets before it
-	// counts as failed. Hung and cancelled cells are never retried.
-	Retries int
-	// Backoff schedules the pause before each retry attempt:
-	// seeded-jitter exponential growth from Base capped at Max (the fleet
-	// gateway's redelivery loop shares the same policy). The zero value
-	// retries immediately. Backoff is wall-clock-only — it never changes
-	// a cell's simulated result.
-	Backoff BackoffPolicy
-	// Degrade keeps the run going past exhausted cells: instead of
+	// Degrade keeps the run going past failed cells: instead of
 	// aborting, the failed cell yields a placeholder Result whose Failure
 	// field is set (tables render it as an explicit hole) plus a
 	// Manifest entry, and every sibling cell still runs.
 	Degrade bool
 	// Live, when non-nil, streams cell lifecycle transitions and
 	// phase-boundary progress into the wall-clock telemetry bundle (the
-	// /metrics counters and the /runs board). It is strictly read-only
-	// with respect to results: attaching it changes no cell's output.
+	// /runs board and the resource ledger's access total). It is strictly
+	// read-only with respect to results: attaching it changes no cell's
+	// output.
 	Live *live.Telemetry
 }
 
@@ -333,7 +323,7 @@ type cellOutcome struct {
 	fail        *CellFailure
 }
 
-// attemptResult is one attempt's raw outcome.
+// attemptResult is a cell run's raw outcome.
 type attemptResult struct {
 	r     *Result
 	err   error
@@ -368,9 +358,6 @@ func (rn Runner) RunManifest(cells []Cell) ([]*Result, *Manifest, error) {
 	err, skipped := rn.forEach(n, func(i int) error {
 		start := time.Now()
 		out := rn.runCell(i, cells[i])
-		if rn.Live != nil && !out.fromJournal && !out.cancelled {
-			rn.Live.Runner.CellSeconds.Observe(time.Since(start).Seconds())
-		}
 		mu.Lock()
 		switch {
 		case out.fail != nil:
@@ -445,8 +432,8 @@ func (rn Runner) RunTable(title string, cells []Cell) (*Table, error) {
 	return t, nil
 }
 
-// runCell drives one cell to its final outcome: journal restore, the
-// attempt/retry loop with watchdog containment, and checkpointing.
+// runCell drives one cell to its final outcome: journal restore, one
+// attempt under watchdog containment, and checkpointing.
 func (rn Runner) runCell(i int, c Cell) cellOutcome {
 	c.live, c.index = rn.Live, i
 	var fp string
@@ -455,102 +442,56 @@ func (rn Runner) runCell(i int, c Cell) cellOutcome {
 		var r Result
 		if rn.Journal.Lookup("cell", fp, &r) {
 			if rn.Live != nil {
-				rn.Live.Runner.Restored.AddAt(i, 1)
 				rn.Live.Board.CellRestored(i, safeLabel(c, i), r.Stats.Cycles, r.Stats.Loads+r.Stats.Stores)
 			}
 			return cellOutcome{r: &r, fromJournal: true}
 		}
 	}
-	if rn.Live != nil {
-		rn.Live.Runner.Started.AddAt(i, 1)
+	ar := rn.attemptCell(c)
+	if ar.err == nil && rn.Journal != nil {
+		if err := rn.Journal.Record("cell", fp, ar.r); err != nil {
+			// A checkpoint that cannot be made durable is a cell failure:
+			// acknowledging it would let a crash lose acknowledged work.
+			ar = attemptResult{err: fmt.Errorf("harness: journaling cell: %w", err)}
+		}
 	}
-	attempts := rn.Retries + 1
-	for a := 1; ; a++ {
-		ar := rn.attemptCell(c)
-		if ar.err == nil {
-			if rn.Journal != nil {
-				if err := rn.Journal.Record("cell", fp, ar.r); err != nil {
-					// A checkpoint that cannot be made durable is a cell
-					// failure: acknowledging it would let a crash lose
-					// acknowledged work.
-					ar = attemptResult{err: fmt.Errorf("harness: journaling cell: %w", err)}
-				}
-			}
-			if ar.err == nil {
-				if c.Tracer != nil {
-					obs.WithSource(c.Tracer, safeLabel(c, i)).Trace(obs.Event{
-						Kind: obs.EvCheckpoint, Cycle: ar.r.Stats.Cycles, Aux: uint64(i),
-					})
-				}
-				if rn.Live != nil {
-					rn.Live.Runner.Finished.AddAt(i, 1)
-					rn.Live.Board.CellDone(i, ar.r.Stats.Cycles, ar.r.Stats.Loads+ar.r.Stats.Stores)
-				}
-				return cellOutcome{r: ar.r}
-			}
-		}
-		if errors.Is(ar.err, context.Canceled) && !ar.hung {
-			return cellOutcome{cancelled: true}
-		}
-		if ar.hung || a >= attempts {
-			// Terminal: only now pay for the label (safeLabel re-invokes
-			// the workload factory, which stateful factories notice).
-			fail := &CellFailure{
-				Index: i, Label: safeLabel(c, i), Err: ar.err.Error(),
-				Stack: ar.stack, Hung: ar.hung, Attempts: a,
-			}
-			if rn.Live != nil {
-				rn.Live.Runner.Failed.AddAt(i, 1)
-				if ar.hung {
-					rn.Live.Runner.Watchdog.AddAt(i, 1)
-				}
-				rn.Live.Board.CellFailed(i, fail.Label, fail.Err, ar.hung)
-			}
-			if rn.Journal != nil {
-				if ar.hung {
-					stacks := ar.stack
-					if stacks == "" {
-						stacks = allStacks()
-					}
-					_ = rn.Journal.Record("hang", fp, hangRecord{Label: fail.Label, Attempt: a, Stacks: stacks})
-				}
-				_ = rn.Journal.Record("fail", fp, fail)
-			}
-			return cellOutcome{fail: fail}
+	if ar.err == nil {
+		if c.Tracer != nil {
+			obs.WithSource(c.Tracer, safeLabel(c, i)).Trace(obs.Event{
+				Kind: obs.EvCheckpoint, Cycle: ar.r.Stats.Cycles, Aux: uint64(i),
+			})
 		}
 		if rn.Live != nil {
-			rn.Live.Runner.Retried.AddAt(i, 1)
-			rn.Live.Board.CellRetrying(i)
+			rn.Live.Board.CellDone(i, ar.r.Stats.Cycles, ar.r.Stats.Loads+ar.r.Stats.Stores)
 		}
-		if !rn.backoff(a) {
-			return cellOutcome{cancelled: true}
-		}
+		return cellOutcome{r: ar.r}
 	}
+	if errors.Is(ar.err, context.Canceled) && !ar.hung {
+		return cellOutcome{cancelled: true}
+	}
+	// Only a failed cell pays for its label here (safeLabel re-invokes the
+	// workload factory, which stateful factories notice).
+	fail := &CellFailure{
+		Index: i, Label: safeLabel(c, i), Err: ar.err.Error(),
+		Stack: ar.stack, Hung: ar.hung,
+	}
+	if rn.Live != nil {
+		rn.Live.Board.CellFailed(i, fail.Label, fail.Err, ar.hung)
+	}
+	if rn.Journal != nil {
+		if ar.hung {
+			stacks := ar.stack
+			if stacks == "" {
+				stacks = allStacks()
+			}
+			_ = rn.Journal.Record("hang", fp, hangRecord{Label: fail.Label, Stacks: stacks})
+		}
+		_ = rn.Journal.Record("fail", fp, fail)
+	}
+	return cellOutcome{fail: fail}
 }
 
-// backoff pauses for the policy's attempt-a delay before retry attempt
-// a+1, abandoning the wait (and reporting false) if the run is cancelled
-// meanwhile.
-func (rn Runner) backoff(a int) bool {
-	d := rn.Backoff.Delay(a)
-	if d <= 0 {
-		return rn.ctxErr() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	var done <-chan struct{}
-	if rn.Context != nil {
-		done = rn.Context.Done()
-	}
-	select {
-	case <-t.C:
-		return true
-	case <-done:
-		return false
-	}
-}
-
-// attemptCell runs one attempt of one cell on its own goroutine with
+// attemptCell runs one cell on its own goroutine with
 // panic containment, a deadline that propagates into the simulation, and
 // a hard watchdog that abandons the goroutine if it does not unwind.
 func (rn Runner) attemptCell(c Cell) attemptResult {

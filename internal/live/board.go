@@ -10,11 +10,10 @@ import (
 type CellState string
 
 const (
-	StateQueued   CellState = "queued"
-	StateRunning  CellState = "running"
-	StateRetrying CellState = "retrying"
-	StateFailed   CellState = "failed"
-	StateDone     CellState = "done"
+	StateQueued  CellState = "queued"
+	StateRunning CellState = "running"
+	StateFailed  CellState = "failed"
+	StateDone    CellState = "done"
 )
 
 // boardSlot is one cell's live state. Progress (cycles/accesses) is updated
@@ -29,7 +28,6 @@ type boardSlot struct {
 	mu       sync.Mutex
 	label    string
 	state    CellState
-	attempts int
 	err      string
 	hung     bool
 	restored bool
@@ -42,7 +40,6 @@ type CellEntry struct {
 	Index          int       `json:"index"`
 	Label          string    `json:"label,omitempty"`
 	State          CellState `json:"state"`
-	Attempts       int       `json:"attempts,omitempty"`
 	ElapsedMS      int64     `json:"elapsedMS,omitempty"`
 	Cycles         uint64    `json:"cycles,omitempty"`
 	Accesses       uint64    `json:"accesses,omitempty"`
@@ -115,10 +112,7 @@ func (b *Board) CellRunning(i int, label string) {
 	s.mu.Lock()
 	s.label = label
 	s.state = StateRunning
-	s.attempts++
-	if s.start.IsZero() {
-		s.start = time.Now()
-	}
+	s.start = time.Now()
 	s.mu.Unlock()
 }
 
@@ -131,17 +125,6 @@ func (b *Board) CellProgress(i int, cycles, accesses uint64) {
 	}
 	s.cycles.Store(cycles)
 	s.accesses.Store(accesses)
-}
-
-// CellRetrying marks cell i as waiting to re-attempt.
-func (b *Board) CellRetrying(i int) {
-	s := b.slot(i)
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.state = StateRetrying
-	s.mu.Unlock()
 }
 
 // CellDone marks cell i successfully completed with its final totals.
@@ -226,7 +209,6 @@ func entryOf(i int, s *boardSlot, now time.Time) CellEntry {
 		Index:       i,
 		Label:       s.label,
 		State:       s.state,
-		Attempts:    s.attempts,
 		Cycles:      s.cycles.Load(),
 		Accesses:    s.accesses.Load(),
 		FromJournal: s.restored,

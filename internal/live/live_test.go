@@ -12,106 +12,6 @@ import (
 	"time"
 )
 
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	const workers, per = 16, 10000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.AddAt(w, 1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("Value = %d, want %d", got, workers*per)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(3.5)
-	if got := g.Value(); got != 3.5 {
-		t.Fatalf("Value = %v, want 3.5", got)
-	}
-	g.SetInt(42)
-	if got := g.Value(); got != 42 {
-		t.Fatalf("Value = %v, want 42", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("h", "help", []float64{1, 5, 10})
-	for _, v := range []float64{0.5, 1, 3, 7, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
-	}
-	if h.Sum() != 111.5 {
-		t.Fatalf("Sum = %v, want 111.5", h.Sum())
-	}
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	// le="1" is cumulative and inclusive: 0.5 and 1 both land at or below.
-	for _, want := range []string{
-		`h_bucket{le="1"} 2`,
-		`h_bucket{le="5"} 3`,
-		`h_bucket{le="10"} 4`,
-		`h_bucket{le="+Inf"} 5`,
-		`h_sum 111.5`,
-		`h_count 5`,
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestExpositionFormat(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("t_things_total", "Things counted.")
-	g := r.NewGauge("t_level", "Current level.")
-	r.NewGaugeFunc("t_funcval", "Computed.", func() float64 { return 7 })
-	c.Add(3)
-	g.Set(1.25)
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP t_things_total Things counted.
-# TYPE t_things_total counter
-t_things_total 3
-# HELP t_level Current level.
-# TYPE t_level gauge
-t_level 1.25
-# HELP t_funcval Computed.
-# TYPE t_funcval gauge
-t_funcval 7
-`
-	if sb.String() != want {
-		t.Fatalf("exposition mismatch:\ngot:\n%s\nwant:\n%s", sb.String(), want)
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("dup_total", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	r.NewCounter("dup_total", "")
-}
-
 func TestBoardLifecycle(t *testing.T) {
 	b := NewBoard()
 	var notified []CellEntry
@@ -128,8 +28,6 @@ func TestBoardLifecycle(t *testing.T) {
 	b.CellDone(0, 2000, 100)
 
 	b.CellRunning(1, "b/base")
-	b.CellRetrying(1)
-	b.CellRunning(1, "b/base")
 	b.CellFailed(1, "b/base", "boom", true)
 
 	b.CellRestored(2, "c/base", 5000, 250)
@@ -142,10 +40,10 @@ func TestBoardLifecycle(t *testing.T) {
 		t.Fatalf("cells = %d, want 3", len(s.Cells))
 	}
 	c0, c1, c2 := s.Cells[0], s.Cells[1], s.Cells[2]
-	if c0.State != StateDone || c0.Cycles != 2000 || c0.Accesses != 100 || c0.Attempts != 1 {
+	if c0.State != StateDone || c0.Cycles != 2000 || c0.Accesses != 100 {
 		t.Errorf("cell 0 = %+v", c0)
 	}
-	if c1.State != StateFailed || !c1.Hung || c1.Err != "boom" || c1.Attempts != 2 {
+	if c1.State != StateFailed || !c1.Hung || c1.Err != "boom" {
 		t.Errorf("cell 1 = %+v", c1)
 	}
 	if c2.State != StateDone || !c2.FromJournal || c2.Accesses != 250 {
@@ -188,19 +86,13 @@ func TestCellProbeDeltasAndRebase(t *testing.T) {
 	probe := tl.CellProbe(0)
 	probe(100, 10, 3)
 	probe(300, 25, 0)
-	if got := tl.Engine.Accesses.Value(); got != 25 {
+	if got := tl.Accesses.Load(); got != 25 {
 		t.Fatalf("accesses = %d, want 25", got)
-	}
-	if got := tl.Engine.Cycles.Value(); got != 300 {
-		t.Fatalf("cycles = %d, want 300", got)
-	}
-	if got := tl.Engine.Phases.Value(); got != 2 {
-		t.Fatalf("phases = %d, want 2", got)
 	}
 	// ResetMeasurement zeroes the engine stats: cumulative goes backwards,
 	// the probe must rebase instead of underflowing.
 	probe(50, 5, 0)
-	if got := tl.Engine.Accesses.Value(); got != 30 {
+	if got := tl.Accesses.Load(); got != 30 {
 		t.Fatalf("accesses after rebase = %d, want 30", got)
 	}
 }
@@ -209,7 +101,6 @@ func TestServerEndpointsAndNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	tl := NewTelemetry()
 	tl.Board.Begin("srv", 1)
-	tl.Runner.Started.Add(1)
 	srv, err := Serve("127.0.0.1:0", tl)
 	if err != nil {
 		t.Fatal(err)
@@ -234,17 +125,6 @@ func TestServerEndpointsAndNoLeak(t *testing.T) {
 
 	if got := get("/healthz"); got != "ok\n" {
 		t.Errorf("/healthz = %q", got)
-	}
-	m := get("/metrics")
-	for _, want := range []string{
-		"# TYPE tvarak_cells_started_total counter",
-		"tvarak_cells_started_total 1",
-		"# TYPE tvarak_sim_accesses_total counter",
-		"# TYPE tvarak_cell_seconds histogram",
-	} {
-		if !strings.Contains(m, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
 	}
 	var snap BoardSnapshot
 	if err := json.Unmarshal([]byte(get("/runs")), &snap); err != nil {
@@ -272,11 +152,11 @@ func TestServerEndpointsAndNoLeak(t *testing.T) {
 
 func TestResourceSamplerLedger(t *testing.T) {
 	tl := NewTelemetry()
-	tl.Engine.Accesses.Add(1000)
+	tl.Accesses.Add(1000)
 	var buf syncBuffer
 	s := StartResourceSampler(tl, &buf, 10*time.Millisecond)
 	time.Sleep(50 * time.Millisecond)
-	tl.Engine.Accesses.Add(9000)
+	tl.Accesses.Add(9000)
 	time.Sleep(30 * time.Millisecond)
 	if err := s.Stop(); err != nil {
 		t.Fatal(err)
@@ -297,9 +177,6 @@ func TestResourceSamplerLedger(t *testing.T) {
 	}
 	if runtime.GOOS == "linux" && first.RSSBytes == 0 {
 		t.Error("RSS = 0 on linux")
-	}
-	if tl.Resource.HeapAlloc.Value() == 0 {
-		t.Error("heap gauge not mirrored")
 	}
 	// Torn tail tolerated.
 	torn := buf.String() + `{"unixMS":123,"heap`
@@ -491,26 +368,6 @@ func TestStartOpsBundle(t *testing.T) {
 func readFile(path string) (string, error) {
 	b, err := os.ReadFile(path)
 	return string(b), err
-}
-
-func BenchmarkCounterAddAt(b *testing.B) {
-	var c Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.AddAt(3, 1)
-	}
-	if c.Value() == 0 {
-		b.Fatal("unreachable")
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	h := r.NewHistogram("bench_h", "", []float64{0.1, 1, 10, 100})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i % 200))
-	}
 }
 
 func TestProbeAllocFree(t *testing.T) {

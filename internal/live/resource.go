@@ -30,10 +30,9 @@ type ResourceSample struct {
 	AccessesPerSec float64 `json:"accessesPerSec"`
 }
 
-// ResourceSampler periodically appends ResourceSamples to a writer and
-// mirrors the latest values into the telemetry gauges. It reads only
-// runtime and /proc state plus telemetry counters — never simulation
-// state — so sampling cannot perturb results.
+// ResourceSampler periodically appends ResourceSamples to a writer. It
+// reads only runtime and /proc state plus the telemetry's access total —
+// never simulation state — so sampling cannot perturb results.
 type ResourceSampler struct {
 	t      *Telemetry
 	every  time.Duration
@@ -85,7 +84,7 @@ func (s *ResourceSampler) sample() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	now := time.Now()
-	acc := s.t.Engine.Accesses.Value()
+	acc := s.t.Accesses.Load()
 
 	smp := ResourceSample{
 		UnixMS:      now.UnixMilli(),
@@ -107,11 +106,6 @@ func (s *ResourceSampler) sample() {
 	s.prevAt, s.prevAc = now, acc
 	_ = s.enc.Encode(smp)
 	s.mu.Unlock()
-
-	s.t.Resource.HeapAlloc.SetInt(smp.HeapAlloc)
-	s.t.Resource.Goroutines.SetInt(uint64(smp.Goroutines))
-	s.t.Resource.RSS.SetInt(smp.RSSBytes)
-	s.t.Resource.AccessesPerSec.Set(smp.AccessesPerSec)
 }
 
 // Stop halts the ticker, takes one final sample, and flushes the writer.

@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// Server is the ops HTTP endpoint: /metrics (Prometheus text exposition),
-// /healthz, /runs (board snapshot JSON), and /debug/pprof/*. It owns its
-// listener and serving goroutine; Close shuts both down and does not
-// return until the goroutine has exited, so a closed server leaks nothing.
+// Server is the ops HTTP endpoint: /healthz, /runs (board snapshot JSON),
+// and /debug/pprof/*. It owns its listener and serving goroutine; Close
+// shuts both down and does not return until the goroutine has exited, so a
+// closed server leaks nothing.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -30,10 +30,6 @@ func Serve(addr string, t *Telemetry) (*Server, error) {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = t.Registry.WritePrometheus(w)
-	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))

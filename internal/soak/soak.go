@@ -65,9 +65,6 @@ type Config struct {
 	// finished units are fsync'd under their soak fingerprint and a
 	// reopened journal restores them instead of re-running.
 	Journal *harness.Journal
-	// Live, when non-nil, folds unit outcomes into the process-wide
-	// telemetry counters (read-only with respect to results).
-	Live *live.Telemetry
 	// Context cancels the run cooperatively (distinct from the Duration
 	// deadline: cancellation is an error, the deadline is a clean stop).
 	Context context.Context
@@ -309,13 +306,7 @@ func runOne(ctx context.Context, cfg Config, index int) (*LedgerLine, error) {
 	var rep fault.UnitReport
 	if cfg.Journal != nil && cfg.Journal.Lookup(journalKind, fp, &rep) {
 		line.Resumed = true
-		if cfg.Live != nil {
-			cfg.Live.Runner.Restored.AddAt(index, 1)
-		}
 	} else {
-		if cfg.Live != nil {
-			cfg.Live.Runner.Started.AddAt(index, 1)
-		}
 		r, err := fault.RunSingleUnit(ctx, unit.UnitParams)
 		if err != nil {
 			return nil, err
@@ -331,9 +322,6 @@ func runOne(ctx context.Context, cfg Config, index int) (*LedgerLine, error) {
 			if err := cfg.Journal.Record(journalKind, fp, &rep); err != nil {
 				return nil, err
 			}
-		}
-		if cfg.Live != nil {
-			fault.FoldLive(cfg.Live, index, &rep)
 		}
 	}
 	line.fromReport(&rep)

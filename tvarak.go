@@ -59,12 +59,6 @@ type (
 	Tx = pmem.Tx
 	// Stats holds the run's metrics (runtime, energy, NVM/cache accesses).
 	Stats = stats.Stats
-	// CacheCounter counts hits and misses at one cache level.
-	CacheCounter = stats.CacheCounter
-	// CacheLevel identifies a cache level in Stats.Cache.
-	CacheLevel = stats.Level
-	// Workload is a runnable benchmark workload.
-	Workload = harness.Workload
 	// Result is one (workload, design) outcome.
 	Result = harness.Result
 	// ResultTable renders paper-style comparisons.
@@ -74,9 +68,6 @@ type (
 	// ExperimentOptions tunes experiment scale, design selection and
 	// parallelism.
 	ExperimentOptions = experiments.Options
-	// Cell is one independent simulation unit (config + workload factory);
-	// experiments enumerate cells and a Runner executes them.
-	Cell = harness.Cell
 	// Runner executes cells across a bounded worker pool, reassembling
 	// results in cell order so tables are identical at any parallelism.
 	Runner = harness.Runner
@@ -93,9 +84,6 @@ type (
 	Sampler = obs.Sampler
 	// Sample is one epoch of a sampled run's time series.
 	Sample = obs.Sample
-	// Observation selects the telemetry (sampling, tracing) attached to a
-	// RunWorkloadObserved run.
-	Observation = harness.Observation
 	// MetricsExport is the versioned machine-readable result document
 	// (JSON/CSV) that -metrics-out writes and the compare mode diffs.
 	MetricsExport = obs.Export
@@ -106,7 +94,7 @@ type (
 	// RunManifest accounts for a run's partial completion: failed, hung,
 	// interrupted and never-attempted cells.
 	RunManifest = harness.Manifest
-	// CellFailure describes one cell that exhausted its attempts.
+	// CellFailure describes one cell that failed without a result.
 	CellFailure = harness.CellFailure
 )
 
@@ -143,14 +131,6 @@ const (
 // (overhead-vs-epoch, vulnerability-window-vs-epoch) from a finished
 // result table; nil when the table has no async variants.
 func AsyncSweepFigures(t *ResultTable) []MetricsFigure { return experiments.AsyncFigures(t) }
-
-// Cache levels for Stats.Cache indexing.
-const (
-	LevelL1     = stats.L1
-	LevelL2     = stats.L2
-	LevelLLC    = stats.LLC
-	LevelTvarak = stats.TvarakCache
-)
 
 // DefaultConfig returns the paper's Table III machine.
 func DefaultConfig(d Design) *Config { return param.Default(d) }
@@ -200,48 +180,9 @@ func (m *Machine) NewHeap(name string, size, maxObjects uint64) (*Heap, error) {
 // System exposes the underlying harness system for advanced use.
 func (m *Machine) System() *harness.System { return m.sys }
 
-// RunWorkload executes one workload under the fixed-work methodology and
-// returns its metrics.
-func RunWorkload(cfg *Config, w Workload) (*Result, error) {
-	return harness.Run(cfg, w)
-}
-
-// RunWorkloadObserved is RunWorkload with telemetry attached to the
-// measured region: an epoch sampler (Observation.SampleEvery) and/or an
-// event tracer (Observation.Tracer). Telemetry is read-only — results are
-// byte-identical to an unobserved run.
-func RunWorkloadObserved(cfg *Config, w Workload, ob Observation) (*Result, error) {
-	return harness.RunObserved(cfg, w, ob)
-}
-
-// NewJSONLTracer builds a tracer that writes one JSON object per event to
-// w through a bounded buffer; after maxEvents events (0 selects a generous
-// default, negative disables the bound) it drops and counts instead of
-// writing. Close flushes and appends a trailer with the totals.
-func NewJSONLTracer(w io.Writer, maxEvents int64) *obs.JSONL {
-	return obs.NewJSONL(w, maxEvents)
-}
-
 // NewEpochSampler builds a sampler with the given epoch length in cycles;
 // attach it with Engine.AttachSampler after ResetMeasurement.
 func NewEpochSampler(every uint64) *Sampler { return obs.NewSampler(every) }
-
-// MetricsSchemaVersion is the version of the machine-readable export
-// schema this build reads and writes.
-const MetricsSchemaVersion = obs.SchemaVersion
-
-// NewMetricsExport returns an empty export document at the current schema
-// version; fill Runs from ResultTable.ExportRuns and serialize with
-// WriteJSON or WriteCSV.
-func NewMetricsExport(tool string) *MetricsExport { return obs.NewExport(tool) }
-
-// RunCells executes independent simulation cells on a bounded worker pool
-// (workers <= 0 means one per CPU) and returns results in cell order.
-// Results are identical at any worker count; see Runner for progress
-// callbacks and table assembly.
-func RunCells(cells []Cell, workers int) ([]*Result, error) {
-	return harness.Runner{Workers: workers}.Run(cells)
-}
 
 // NewRunJournal creates (or truncates) a fresh checkpoint journal at path.
 func NewRunJournal(path string) (*RunJournal, error) { return harness.NewJournal(path) }
@@ -267,13 +208,13 @@ type Oracle = oracle.Oracle
 // redundancy behaviour should be checked.
 func AttachOracle(m *Machine) *Oracle { return oracle.Attach(m.sys.Eng, m.sys.FS) }
 
-// Live wall-clock telemetry: the metrics registry + run board behind the
+// Live wall-clock telemetry: the run board and access total behind the
 // CLI's -ops-addr endpoint and resource ledger (see DESIGN.md §Live
 // telemetry). Strictly read-only — attaching it changes no simulated
 // result.
 type (
-	// LiveTelemetry bundles the live metric set and the per-cell run
-	// board; hand it to ExperimentOptions.Live.
+	// LiveTelemetry bundles the per-cell run board and the simulated-access
+	// total; hand it to ExperimentOptions.Live.
 	LiveTelemetry = live.Telemetry
 	// OpsConfig selects the ops HTTP server address and resource-ledger
 	// path for StartLiveOps.
@@ -284,8 +225,7 @@ type (
 	ResourceSample = live.ResourceSample
 )
 
-// NewLiveTelemetry builds the full tvarak live metric set and an empty run
-// board.
+// NewLiveTelemetry builds a live telemetry bundle with an empty run board.
 func NewLiveTelemetry() *LiveTelemetry { return live.NewTelemetry() }
 
 // StartLiveOps starts the ops HTTP server and/or the resource sampler per
